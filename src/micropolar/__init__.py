@@ -42,8 +42,7 @@ from .dynamics import (
     evolve,
     make_initial,
     recover_pressure,
-    rhs_u,
-    rhs_w,
+    rhs,
     step,
 )
 from .semigroup import (

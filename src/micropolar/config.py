@@ -86,7 +86,6 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
     "stepper.dt": (float, True),
     "stepper.t_end": (float, True),
     "stepper.cfl_safety": (float, False),
-    "stepper.dealias": (bool, False),
     "output.cadence": (int, True),
     "output.dir": (str, True),
     "output.checkpoint_every": (int, False),
@@ -95,19 +94,11 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
 _DEFAULTS = {
     "ic.seed": 0,
     "stepper.cfl_safety": 0.5,
-    "stepper.dealias": True,
     "output.checkpoint_every": 0,
 }
 
 
 def _convert(raw: str, target: type, line: int, key: str):
-    if target is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}", line, key)
     if target is int:
         try:
             return int(raw)
@@ -168,7 +159,6 @@ def parse_config_text(text: str) -> RunConfig:
             dt=values["stepper.dt"],
             t_end=values["stepper.t_end"],
             cfl_safety=values["stepper.cfl_safety"],
-            dealias=values["stepper.dealias"],
         )
         output = OutputConfig(
             cadence=values["output.cadence"],

@@ -1,4 +1,4 @@
-"""Right-hand sides, time stepping, pressure recovery, initial conditions.
+"""Right-hand side, time stepping, pressure recovery, initial conditions.
 
 The stepper is an integrating-factor RK4: every linear term is integrated
 exactly per mode and the advection / curl-coupling terms are explicit.  The
@@ -23,7 +23,16 @@ from .fields import (
 )
 from .grid import Grid
 from .norms import spectral_l2_sq
-from .operators import curl_hat, leray_hat
+from .operators import (
+    advect_hat,
+    advect_phys,
+    curl_hat,
+    divergence_hat,
+    grad_div_hat,
+    leray_hat,
+    random_band_limited,
+    single_mode,
+)
 
 
 class CflError(RuntimeError):
@@ -31,7 +40,11 @@ class CflError(RuntimeError):
 
 
 class SimulationDiverged(RuntimeError):
-    """Non-finite field values detected; carries the last good time."""
+    """Non-finite field values detected; carries the last good time.
+
+    step is the index of the failing step within evolve (-1 when the
+    stepper is driven directly).
+    """
 
     def __init__(self, message: str, t: float, step: int):
         super().__init__(message)
@@ -46,14 +59,12 @@ class StepperConfig:
     dt          step size
     t_end       stop time (the run takes ceil((t_end - t0)/dt) steps)
     cfl_safety  cap on max|u| * dt / dx, in (0, 1]
-    dealias     apply the 2/3 rule to the quadratic products
     freeze_u    hold u fixed and evolve only w (linear-decay experiments)
     """
 
     dt: float
     t_end: float
     cfl_safety: float = 0.5
-    dealias: bool = True
     freeze_u: bool = False
 
     def __post_init__(self) -> None:
@@ -91,7 +102,7 @@ class InitialCondition:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# right-hand side y_t = N(y) + L y for the pair y = (u, w)
 
 
 def _explicit_hats(
@@ -99,32 +110,21 @@ def _explicit_hats(
     w_data: np.ndarray,
     grid: Grid,
     chi: float,
-    apply_dealias: bool = True,
-    u_phys_out: list | None = None,
+    u_phys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicitly-integrated terms: advection plus the chi curl coupling.
+    """Explicitly-integrated terms N(y): advection plus the chi curl coupling.
 
-    Returns (N_u, N_w) with N_u already Leray-projected.  u_phys_out, if
-    given, receives the physical velocity samples (for the CFL check).
+    Returns (N_u, N_w) with N_u Leray-projected.  u_phys optionally carries
+    the physical velocity samples.  The advection is negated before the 2/3
+    rule is applied, which fixes the sign of the zeroed coefficients.
     """
-    u_phys = inverse_transform(u_data)
-    if u_phys_out is not None:
-        u_phys_out.append(u_phys)
-
-    adv_u = np.zeros((3,) + grid.shape)
-    adv_w = np.zeros((3,) + grid.shape)
-    for j, dk in enumerate((grid.dkx, grid.dky, grid.dkz)):
-        du = inverse_transform(1j * dk * u_data)
-        dw = inverse_transform(1j * dk * w_data)
-        uj = u_phys[j]
-        adv_u += uj * du
-        adv_w += uj * dw
-
+    if u_phys is None:
+        u_phys = inverse_transform(u_data)
+    adv_u, adv_w = advect_phys(u_phys, grid, u_data, w_data)
     n_u = -forward_transform(adv_u)
     n_w = -forward_transform(adv_w)
-    if apply_dealias:
-        n_u *= grid.dealias_mask
-        n_w *= grid.dealias_mask
+    n_u *= grid.dealias_mask
+    n_w *= grid.dealias_mask
     if chi != 0.0:
         n_u += chi * curl_hat(w_data, grid)
         n_w += chi * curl_hat(u_data, grid)
@@ -133,59 +133,59 @@ def _explicit_hats(
     return n_u, n_w
 
 
-def rhs_u(state: SimState, p: PhysicalParams) -> SpectralVectorField:
-    """P_h[-(u.grad)u + chi curl w] + (mu+chi) Lap u."""
+def _linear_hats(
+    u_data: np.ndarray, w_data: np.ndarray, grid: Grid, p: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """L y: (mu+chi) Lap u and gamma Lap w + grad(div w) - 2 chi w."""
+    dsq = grid.deriv_k_sq
+    l_u = -(p.mu + p.chi) * dsq * u_data
+    l_w = -p.gamma * dsq * w_data + grad_div_hat(w_data, grid) - 2.0 * p.chi * w_data
+    return l_u, l_w
+
+
+def _power(
+    u_data: np.ndarray,
+    w_data: np.ndarray,
+    n_u: np.ndarray,
+    n_w: np.ndarray,
+    grid: Grid,
+    p: PhysicalParams,
+) -> float:
+    """Pair-energy production 2<y, N(y) + L y> given N(y) = (n_u, n_w)."""
+    l_u, l_w = _linear_hats(u_data, w_data, grid, p)
+    total = np.vdot(u_data, n_u + l_u).real + np.vdot(w_data, n_w + l_w).real
+    return 2.0 * grid.volume * float(total)
+
+
+def rhs(
+    state: SimState, p: PhysicalParams
+) -> tuple[SpectralVectorField, SpectralVectorField]:
+    """(u_t, w_t) = N(y) + L y: the full right-hand side of both equations."""
     g = state.grid
-    n_u, _ = _explicit_hats(state.u.data, state.w.data, g, p.chi)
-    n_u += -(p.mu + p.chi) * g.deriv_k_sq * state.u.data
-    return SpectralVectorField(g, n_u)
+    u0, w0 = state.u.data, state.w.data
+    n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
+    l_u, l_w = _linear_hats(u0, w0, g, p)
+    return SpectralVectorField(g, n_u + l_u), SpectralVectorField(g, n_w + l_w)
 
 
-def rhs_w(state: SimState, p: PhysicalParams) -> SpectralVectorField:
-    """-(u.grad)w + gamma Lap w + grad(div w) + chi curl u - 2 chi w."""
+def energy_power(state: SimState, p: PhysicalParams) -> float:
+    """Instantaneous pair-energy production 2<u_t, u> + 2<w_t, w>."""
     g = state.grid
-    _, n_w = _explicit_hats(state.u.data, state.w.data, g, p.chi)
-    div_hat = 1j * (
-        g.dkx * state.w.data[0] + g.dky * state.w.data[1] + g.dkz * state.w.data[2]
-    )
-    n_w += -p.gamma * g.deriv_k_sq * state.w.data
-    n_w[0] += 1j * g.dkx * div_hat
-    n_w[1] += 1j * g.dky * div_hat
-    n_w[2] += 1j * g.dkz * div_hat
-    n_w += -2.0 * p.chi * state.w.data
-    return SpectralVectorField(g, n_w)
+    u0, w0 = state.u.data, state.w.data
+    n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
+    return _power(u0, w0, n_u, n_w, g, p)
 
 
-def recover_pressure(state: SimState, p: PhysicalParams | None = None) -> ScalarField:
+def recover_pressure(state: SimState) -> ScalarField:
     """Solve -Lap P = div((u.grad)u) mode-wise; P is mean-zero.
 
     The curl coupling is divergence-free and contributes nothing, so the
     result does not depend on the physical parameters.
     """
-    from .operators import advect_hat
-
     g = state.grid
     n_hat = advect_hat(state.u.data, state.u.data, g)
-    div_n = 1j * (g.dkx * n_hat[0] + g.dky * n_hat[1] + g.dkz * n_hat[2])
-    p_hat = div_n * g.inv_deriv_k_sq
+    p_hat = divergence_hat(n_hat, g) * g.inv_deriv_k_sq
     return ScalarField(g, inverse_transform(p_hat))
-
-
-def energy_power(state: SimState, p: PhysicalParams) -> float:
-    """Instantaneous pair-energy production 2<rhs_u, u> + 2<rhs_w, w>."""
-    g = state.grid
-    u0, w0 = state.u.data, state.w.data
-    n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
-    dsq = g.deriv_k_sq
-    div_w = 1j * (g.dkx * w0[0] + g.dky * w0[1] + g.dkz * w0[2])
-    lin = (
-        -(p.mu + p.chi) * np.sum(dsq * np.abs(u0) ** 2).real
-        - p.gamma * np.sum(dsq * np.abs(w0) ** 2).real
-        - np.sum(np.abs(div_w) ** 2)
-        - 2.0 * p.chi * np.sum(np.abs(w0) ** 2)
-    )
-    cross = np.sum(np.conj(u0) * n_u).real + np.sum(np.conj(w0) * n_w).real
-    return 2.0 * g.volume * float(lin + cross)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +193,25 @@ def energy_power(state: SimState, p: PhysicalParams) -> float:
 
 
 class Stepper:
-    """Advances a SimState by a fixed dt with precomputed propagators."""
+    """Advances a SimState by a fixed dt with precomputed propagators.
+
+    With freeze_u the same RK4 sequence runs with a unit u-propagator and
+    N_u = 0, so u keeps its initial value (re-projected each step).
+    """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
         self.grid = grid
         self.params = params
         self.config = config
-        self.last_power = 0.0  # 2<rhs_u, u> + 2<rhs_w, w> at the step start
+        self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
         dt = config.dt
         dsq = grid.deriv_k_sq
-        mu_eff = params.mu + params.chi
-        self._eu_half = np.exp(-mu_eff * dsq * (dt / 2.0))
-        self._eu_full = self._eu_half**2
+        if config.freeze_u:
+            self._eu_half = self._eu_full = 1.0
+        else:
+            self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
+            self._eu_full = self._eu_half**2
         gamma, chi = params.gamma, params.chi
         self._ew_half = np.exp(-(gamma * dsq + 2.0 * chi) * (dt / 2.0))
         self._ew_full = self._ew_half**2
@@ -215,8 +221,7 @@ class Stepper:
 
     def _apply_w(self, data: np.ndarray, half: bool) -> np.ndarray:
         g = self.grid
-        k_dot = g.dkx * data[0] + g.dky * data[1] + g.dkz * data[2]
-        factor = k_dot * g.inv_deriv_k_sq
+        factor = g.k_dot(data) * g.inv_deriv_k_sq
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
         out = np.empty_like(data)
@@ -224,6 +229,14 @@ class Stepper:
         out[1] = e * (data[1] + b * g.dky * factor)
         out[2] = e * (data[2] + b * g.dkz * factor)
         return out
+
+    def _explicit(
+        self, u_data: np.ndarray, w_data: np.ndarray, u_phys: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n_u, n_w = _explicit_hats(u_data, w_data, self.grid, self.params.chi, u_phys)
+        if self.config.freeze_u:
+            n_u = np.zeros_like(n_u)
+        return n_u, n_w
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
         vmax = float(np.abs(u_phys).max())
@@ -238,71 +251,36 @@ class Stepper:
             )
 
     def step(self, state: SimState, t_next: float | None = None) -> SimState:
-        g, p, cfg = self.grid, self.params, self.config
-        dt = cfg.dt
-        chi, mu_eff, gamma = p.chi, p.mu + p.chi, p.gamma
-        u0, w0 = state.u.data, state.w.data
-        dsq = g.deriv_k_sq
-
-        grab: list = []
-        n1u, n1w = _explicit_hats(u0, w0, g, chi, cfg.dealias, u_phys_out=grab)
-        self._check_cfl(grab[0])
-
-        # instantaneous energy production 2<rhs, y> at the step start
-        lin_u = -mu_eff * np.sum(dsq * np.abs(u0) ** 2).real
-        div_w = 1j * (g.dkx * w0[0] + g.dky * w0[1] + g.dkz * w0[2])
-        lin_w = (
-            -gamma * np.sum(dsq * np.abs(w0) ** 2).real
-            - np.sum(np.abs(div_w) ** 2)
-            - 2.0 * chi * np.sum(np.abs(w0) ** 2)
-        )
-        cross = (
-            np.sum(np.conj(u0) * n1u).real + np.sum(np.conj(w0) * n1w).real
-        )
-        self.last_power = 2.0 * g.volume * float(lin_u + lin_w + cross)
-
+        g, dt = self.grid, self.config.dt
         half = dt / 2.0
-        if cfg.freeze_u:
-            u_next = u0
-            apply_w = self._apply_w
-            w2 = apply_w(w0 + half * n1w, True)
-            _, n2w = _explicit_hats(u0, w2, g, chi, cfg.dealias)
-            w3 = apply_w(w0, True) + half * n2w
-            _, n3w = _explicit_hats(u0, w3, g, chi, cfg.dealias)
-            w4 = apply_w(w0, False) + dt * apply_w(n3w, True)
-            _, n4w = _explicit_hats(u0, w4, g, chi, cfg.dealias)
-            w_next = apply_w(w0, False) + (dt / 6.0) * (
-                apply_w(n1w, False) + 2.0 * apply_w(n2w + n3w, True) + n4w
-            )
-        else:
-            u2 = self._eu_half * (u0 + half * n1u)
-            w2 = self._apply_w(w0 + half * n1w, True)
-            u2 = leray_hat(u2, g)
-            n2u, n2w = _explicit_hats(u2, w2, g, chi, cfg.dealias)
+        eu_half, eu_full, apply_w = self._eu_half, self._eu_full, self._apply_w
+        u0, w0 = state.u.data, state.w.data
 
-            u3 = self._eu_half * u0 + half * n2u
-            w3 = self._apply_w(w0, True) + half * n2w
-            u3 = leray_hat(u3, g)
-            n3u, n3w = _explicit_hats(u3, w3, g, chi, cfg.dealias)
+        u_phys = inverse_transform(u0)
+        self._check_cfl(u_phys)
+        n1u, n1w = self._explicit(u0, w0, u_phys)
+        self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
 
-            u4 = self._eu_full * u0 + dt * self._eu_half * n3u
-            w4 = self._apply_w(w0, False) + dt * self._apply_w(n3w, True)
-            u4 = leray_hat(u4, g)
-            n4u, n4w = _explicit_hats(u4, w4, g, chi, cfg.dealias)
+        u2 = leray_hat(eu_half * (u0 + half * n1u), g)
+        w2 = apply_w(w0 + half * n1w, True)
+        n2u, n2w = self._explicit(u2, w2)
 
-            u_next = self._eu_full * u0 + (dt / 6.0) * (
-                self._eu_full * n1u
-                + 2.0 * self._eu_half * (n2u + n3u)
-                + n4u
-            )
-            u_next = leray_hat(u_next, g)
-            w_next = self._apply_w(w0, False) + (dt / 6.0) * (
-                self._apply_w(n1w, False)
-                + 2.0 * self._apply_w(n2w + n3w, True)
-                + n4w
-            )
+        u3 = leray_hat(eu_half * u0 + half * n2u, g)
+        w3 = apply_w(w0, True) + half * n2w
+        n3u, n3w = self._explicit(u3, w3)
 
-        u_next[:, 0, 0, 0] = 0.0
+        u4 = leray_hat(eu_full * u0 + dt * eu_half * n3u, g)
+        w4 = apply_w(w0, False) + dt * apply_w(n3w, True)
+        n4u, n4w = self._explicit(u4, w4)
+
+        u_next = eu_full * u0 + (dt / 6.0) * (
+            eu_full * n1u + 2.0 * eu_half * (n2u + n3u) + n4u
+        )
+        u_next = leray_hat(u_next, g)
+        w_next = apply_w(w0, False) + (dt / 6.0) * (
+            apply_w(n1w, False) + 2.0 * apply_w(n2w + n3w, True) + n4w
+        )
+
         w_next[:, 0, 0, 0] = 0.0
         energy = spectral_l2_sq(u_next, g) + spectral_l2_sq(w_next, g)
         if not np.isfinite(energy):
@@ -334,24 +312,16 @@ def evolve(state: SimState, p: PhysicalParams, cfg: StepperConfig):
     t0 = state.t
     current = state
     for j in range(1, n_steps + 1):
-        current = stepper.step(current, t_next=t0 + j * cfg.dt)
+        try:
+            current = stepper.step(current, t_next=t0 + j * cfg.dt)
+        except SimulationDiverged as exc:
+            exc.step = j
+            raise
         yield j, current, stepper
 
 
 # ---------------------------------------------------------------------------
 # initial conditions
-
-
-def _single_sine(grid: Grid, component: int, axis: int, m: int, amp: float):
-    data = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    n = grid.n_per_axis
-    pos = [0, 0, 0]
-    neg = [0, 0, 0]
-    pos[axis] = m
-    neg[axis] = n - m
-    data[(component,) + tuple(pos)] = -0.5j * amp
-    data[(component,) + tuple(neg)] = 0.5j * amp
-    return data
 
 
 def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
@@ -374,10 +344,10 @@ def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
 
     if ic.kind == "single_mode":
         m = max(1, int(round(ic.peak_wavenumber / k_min)))
-        u_hat = _single_sine(grid, component=1, axis=0, m=m, amp=ic.amplitude)
-        w_hat = _single_sine(grid, component=0, axis=0, m=m, amp=ic.amplitude)
         return SimState(
-            0.0, SpectralVectorField(grid, u_hat), SpectralVectorField(grid, w_hat)
+            0.0,
+            single_mode(grid, component=1, axis=0, index=m, amplitude=ic.amplitude),
+            single_mode(grid, component=0, axis=0, index=m, amplitude=ic.amplitude),
         )
 
     if ic.kind == "taylor_green_like":
@@ -411,8 +381,6 @@ def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
     k_abs = np.sqrt(grid.k_sq)
     sigma = ic.peak_wavenumber / 4.0
     envelope = np.exp(-((k_abs - ic.peak_wavenumber) ** 2) / (2.0 * sigma**2))
-    from .operators import random_band_limited
-
     u = random_band_limited(grid, rng, solenoidal=True, envelope=envelope)
     w = random_band_limited(grid, rng, solenoidal=False, envelope=envelope)
     u_hat = u.data * (ic.amplitude / np.sqrt(spectral_l2_sq(u.data, grid)))

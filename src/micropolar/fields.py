@@ -85,18 +85,18 @@ class ScalarField:
         _check_finite(self.values, "ScalarField")
 
 
-def forward_transform(values: np.ndarray, workers: int = 1) -> np.ndarray:
+def forward_transform(values: np.ndarray) -> np.ndarray:
     """Forward DFT with 1/n^3 normalization; accepts (..., n, n, n)."""
     n3 = values.shape[-1] * values.shape[-2] * values.shape[-3]
     axes = tuple(range(values.ndim - 3, values.ndim))
-    return _fft.fftn(values, axes=axes, workers=workers) / n3
+    return _fft.fftn(values, axes=axes, workers=1) / n3
 
 
-def inverse_transform(coeffs: np.ndarray, workers: int = 1) -> np.ndarray:
+def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     """Inverse DFT without normalization (real part); accepts (..., n, n, n)."""
     n3 = coeffs.shape[-1] * coeffs.shape[-2] * coeffs.shape[-3]
     axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
-    return _fft.ifftn(coeffs, axes=axes, workers=workers).real * n3
+    return _fft.ifftn(coeffs, axes=axes, workers=1).real * n3
 
 
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
@@ -113,19 +113,13 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
     return SpectralVectorField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
 
 
-def _div_hat(u_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    return 1j * (
-        grid.dkx * u_hat[0] + grid.dky * u_hat[1] + grid.dkz * u_hat[2]
-    )
-
-
 def divergence_defect(u: SpectralVectorField) -> float:
     """||div u||_2 / ||Du||_2 (0 when the field has no gradient energy)."""
     g = u.grid
     grad_sq = float(np.sum(g.deriv_k_sq * np.abs(u.data) ** 2).real)
     if grad_sq == 0.0:
         return 0.0
-    div_sq = float(np.sum(np.abs(_div_hat(u.data, g)) ** 2))
+    div_sq = float(np.sum(np.abs(g.k_dot(u.data)) ** 2))
     return np.sqrt(div_sq / grad_sq)
 
 

@@ -98,14 +98,9 @@ class Grid:
     def shape(self) -> tuple[int, int, int]:
         return (self.n_per_axis,) * 3
 
-    def deriv_wavevector(self) -> np.ndarray:
-        """Stacked derivative wavenumbers, shape (3, n, n, n)."""
-        n = self.n_per_axis
-        out = np.empty((3, n, n, n))
-        out[0] = self.dkx
-        out[1] = self.dky
-        out[2] = self.dkz
-        return out
+    def k_dot(self, data: np.ndarray) -> np.ndarray:
+        """k . f_hat of a (3,n,n,n) coefficient array (derivative wavenumbers)."""
+        return self.dkx * data[0] + self.dky * data[1] + self.dkz * data[2]
 
 
 def make_grid(n: int, box_length: float) -> Grid:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import RealVectorField, SpectralVectorField, inverse_transform
+from .fields import RealVectorField, SpectralVectorField
+from .fields import inverse_transform  # noqa: F401  (binding traced by perfbench)
 from .grid import Grid
 
 
@@ -35,25 +36,19 @@ def l2_grad2(f: SpectralVectorField) -> float:
 def l2_div(f: SpectralVectorField) -> float:
     """||div f||_2."""
     g = f.grid
-    div_hat = 1j * (g.dkx * f.data[0] + g.dky * f.data[1] + g.dkz * f.data[2])
-    return float(np.sqrt(g.volume * np.sum(np.abs(div_hat) ** 2)))
+    return float(np.sqrt(g.volume * np.sum(np.abs(g.k_dot(f.data)) ** 2)))
 
 
 def l2_grad_div(f: SpectralVectorField) -> float:
     """||D(div f)||_2, the gradient of the divergence scalar."""
     g = f.grid
-    div_hat = 1j * (g.dkx * f.data[0] + g.dky * f.data[1] + g.dkz * f.data[2])
-    return float(np.sqrt(g.volume * np.sum(g.deriv_k_sq * np.abs(div_hat) ** 2)))
+    div_sq = np.abs(g.k_dot(f.data)) ** 2
+    return float(np.sqrt(g.volume * np.sum(g.deriv_k_sq * div_sq)))
 
 
 def linf(f: RealVectorField) -> float:
     """max over components of the pointwise sup norm."""
     return float(np.abs(f.data).max())
-
-
-def linf_spectral(f: SpectralVectorField) -> float:
-    """Sup norm evaluated by transforming to physical space."""
-    return float(np.abs(inverse_transform(f.data)).max())
 
 
 def lr_phys(f: RealVectorField, r: float) -> float:

@@ -48,7 +48,7 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral divergence i k . f_hat of a (3,n,n,n) coefficient array."""
-    return 1j * (grid.dkx * data[0] + grid.dky * data[1] + grid.dkz * data[2])
+    return 1j * grid.k_dot(data)
 
 
 def divergence(f: SpectralVectorField) -> ScalarField:
@@ -107,8 +107,7 @@ def leray_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     Uses the derivative wavenumbers, so the kernel is exactly the span of the
     implemented gradient operator.
     """
-    k_dot = grid.dkx * data[0] + grid.dky * data[1] + grid.dkz * data[2]
-    factor = k_dot * grid.inv_deriv_k_sq
+    factor = grid.k_dot(data) * grid.inv_deriv_k_sq
     out = np.empty_like(data)
     out[0] = data[0] - grid.dkx * factor
     out[1] = data[1] - grid.dky * factor
@@ -127,26 +126,27 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(f.grid, f.data * f.grid.dealias_mask)
 
 
-def advect_hat(
-    v_data: np.ndarray,
-    f_data: np.ndarray,
-    grid: Grid,
-    apply_dealias: bool = True,
-    v_phys: np.ndarray | None = None,
-) -> np.ndarray:
-    """(v . grad) f via pseudo-spectral products, dealiased by default.
+def advect_phys(v_phys: np.ndarray, grid: Grid, *fields: np.ndarray) -> list[np.ndarray]:
+    """Physical samples of (v . grad) f for each coefficient array f in fields.
 
-    v_phys optionally carries precomputed physical samples of v.
+    v_phys holds the physical samples of v.  All fields share one sweep over
+    the derivative axes, with every derivative freed once it is used: fewer
+    large temporaries churn through the allocator than in one sweep per field.
     """
-    if v_phys is None:
-        v_phys = inverse_transform(v_data)
-    out = np.zeros((3,) + grid.shape)
+    outs = [np.zeros((3,) + grid.shape) for _ in fields]
     for j, dk in enumerate((grid.dkx, grid.dky, grid.dkz)):
-        df = inverse_transform(1j * dk * f_data)
-        out += v_phys[j] * df
-    result = forward_transform(out)
-    if apply_dealias:
-        result *= grid.dealias_mask
+        for out, f_data in zip(outs, fields):
+            df = inverse_transform(1j * dk * f_data)
+            df *= v_phys[j]
+            out += df
+    return outs
+
+
+def advect_hat(v_data: np.ndarray, f_data: np.ndarray, grid: Grid) -> np.ndarray:
+    """(v . grad) f via pseudo-spectral products, dealiased by the 2/3 rule."""
+    (adv,) = advect_phys(inverse_transform(v_data), grid, f_data)
+    result = forward_transform(adv)
+    result *= grid.dealias_mask
     return result
 
 
@@ -159,15 +159,12 @@ def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> fl
     """sum_{ijkl} eps_{ijk} int D_l w_i D_l D_j u_k dx, evaluated spectrally.
 
     Parseval turns each term into L^3 sum_k k_l^2 k_j Re[i conj(w_i) u_k];
-    the eps contraction is done against LEVI_CIVITA explicitly.
+    the eps contraction over (j, k) is the spectral curl, so the integral is
+    L^3 sum_k |k|^2 Re[conj(w_hat) . (i k x u_hat)].
     """
     g = w.grid
-    kvec = g.deriv_wavevector()
-    weighted = np.conj(w.data) * g.deriv_k_sq
-    contraction = np.einsum(
-        "ijk,jabc,iabc,kabc->", LEVI_CIVITA, kvec, weighted, u.data
-    )
-    return float(-g.volume * contraction.imag)
+    weighted = g.deriv_k_sq * w.data
+    return float(g.volume * np.vdot(weighted, curl_hat(u.data, g)).real)
 
 
 def _require_nonzero_mean_free(u: RealVectorField, u_hat: np.ndarray) -> None:
@@ -190,6 +187,20 @@ def gn_ratio_grad(u: RealVectorField) -> float:
     spec = to_spectral(u)
     _require_nonzero_mean_free(u, spec.data)
     return l2_grad(spec) / np.sqrt(l2(spec) * l2_grad2(spec))
+
+
+def single_mode(
+    grid: Grid, component: int, axis: int, index: int = 1, amplitude: float = 1.0
+) -> SpectralVectorField:
+    """amplitude * sin(index * (2 pi / L) * x_axis) in one component."""
+    data = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    pos = [0, 0, 0]
+    neg = [0, 0, 0]
+    pos[axis] = index
+    neg[axis] = grid.n_per_axis - index
+    data[(component,) + tuple(pos)] = -0.5j * amplitude
+    data[(component,) + tuple(neg)] = 0.5j * amplitude
+    return SpectralVectorField(grid, data)
 
 
 def random_band_limited(

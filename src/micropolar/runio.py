@@ -10,7 +10,7 @@ terminated rows):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpoint import write_checkpoint
@@ -160,18 +160,7 @@ def execute_run(
         window = detection.window or (records[0].t, records[-1].t)
         fit = fit_decay(records, window)
         if detection.t0_detected is None:
-            fit = DecayFit(
-                t0_detected=None,
-                window=fit.window,
-                monotone_after_t0=fit.monotone_after_t0,
-                c_infty_used=detection.c_infty_used,
-                slope_pair=fit.slope_pair,
-                w_scaled_trend=fit.w_scaled_trend,
-                pair_strictly_decreasing=fit.pair_strictly_decreasing,
-                t_weighted_grad_sq=fit.t_weighted_grad_sq,
-                grad_argmax_in_first_half=fit.grad_argmax_in_first_half,
-                w_exp_rate=fit.w_exp_rate,
-            )
+            fit = replace(fit, t0_detected=None, c_infty_used=detection.c_infty_used)
         write_report(report_path, config, records, fit)
 
     return RunResult(

@@ -461,7 +461,9 @@ def duhamel_terms(
                     for i in range(j + 1)
                 ]
             )
-            out.append(wgt * float(np.trapezoid(integrand, svals[: j + 1])))
+            steps = np.diff(svals[: j + 1])
+            trapezoid = np.sum(steps * (integrand[1:] + integrand[:-1]) / 2.0)
+            out.append(wgt * float(trapezoid))
         t4[-1] *= p_chi
 
     return DuhamelLedger(

@@ -44,6 +44,7 @@ from .operators import (
     laplacian,
     leray_project,
     random_band_limited,
+    single_mode,
 )
 from .quadrature import corrected_trapezoid
 from .semigroup import (
@@ -126,10 +127,7 @@ def suite_ops() -> list[CheckResult]:
             worst_curl_grad,
             np.abs(curl(gp).data).max() / max(np.abs(gp.data).max(), 1e-300),
         )
-        cf = curl(f).data
-        div_curl = np.abs(
-            grid.dkx * cf[0] + grid.dky * cf[1] + grid.dkz * cf[2]
-        ).max()
+        div_curl = np.abs(grid.k_dot(curl(f).data)).max()
         worst_div_curl = max(worst_div_curl, div_curl / scale)
         pf = leray_project(f)
         worst_leray_idem = max(
@@ -212,22 +210,11 @@ def suite_ops() -> list[CheckResult]:
 # lemma1 (interpolation inequalities)
 
 
-def _single_mode(grid, component, axis, index=1, amplitude=1.0):
-    data = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    pos = [0, 0, 0]
-    neg = [0, 0, 0]
-    pos[axis] = index
-    neg[axis] = grid.n_per_axis - index
-    data[(component,) + tuple(pos)] = -0.5j * amplitude
-    data[(component,) + tuple(neg)] = 0.5j * amplitude
-    return SpectralVectorField(grid, data)
-
-
 def suite_lemma1() -> list[CheckResult]:
     results = []
     grid = make_grid(16, 2.0 * np.pi)
 
-    single = to_real(_single_mode(grid, 0, 1))
+    single = to_real(single_mode(grid, 0, 1))
     results.append(
         _check(
             "single-mode gradient ratio = 1",

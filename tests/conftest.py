@@ -8,6 +8,7 @@ import pytest
 from micropolar.fields import RealVectorField, SpectralVectorField
 from micropolar.grid import Grid, make_grid
 from micropolar.operators import random_band_limited
+from micropolar.operators import single_mode as single_mode_field  # noqa: F401 (shared builder)
 
 
 @pytest.fixture(scope="session")
@@ -31,17 +32,3 @@ def random_spectral_field(
     """Dealiased, mean-zero random field (solenoidal on request)."""
     rng = np.random.default_rng(seed)
     return random_band_limited(grid, rng, solenoidal=solenoidal)
-
-
-def single_mode_field(
-    grid: Grid, component: int, axis: int, index: int = 1, amplitude: float = 1.0
-) -> SpectralVectorField:
-    """amplitude * sin(index * (2 pi / L) * x_axis) in one component."""
-    data = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    pos = [0, 0, 0]
-    neg = [0, 0, 0]
-    pos[axis] = index
-    neg[axis] = grid.n_per_axis - index
-    data[(component,) + tuple(pos)] = amplitude / 2.0 * -1j
-    data[(component,) + tuple(neg)] = amplitude / 2.0 * 1j
-    return SpectralVectorField(grid, data)

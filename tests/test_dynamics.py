@@ -13,8 +13,7 @@ from micropolar.dynamics import (
     evolve,
     make_initial,
     recover_pressure,
-    rhs_u,
-    rhs_w,
+    rhs,
     step,
 )
 from micropolar.fields import PhysicalParams, SimState, SpectralVectorField
@@ -49,8 +48,8 @@ def random_state(grid, seed, t=0.0, scale=1.0):
 
 def test_rhs_zero_state(grid8):
     state = SimState(0.0, zero_field(grid8), zero_field(grid8))
-    assert np.abs(rhs_u(state, PARAMS).data).max() == 0.0
-    assert np.abs(rhs_w(state, PARAMS).data).max() == 0.0
+    assert np.abs(rhs(state, PARAMS)[0].data).max() == 0.0
+    assert np.abs(rhs(state, PARAMS)[1].data).max() == 0.0
 
 
 def test_rhs_u_single_mode_pure_diffusion(grid8):
@@ -59,7 +58,7 @@ def test_rhs_u_single_mode_pure_diffusion(grid8):
     p = PhysicalParams(mu=0.4, gamma=0.3, chi=0.0)
     u = single_mode_field(grid8, component=1, axis=0, index=2, amplitude=1.3)
     state = SimState(0.0, u, zero_field(grid8))
-    out = rhs_u(state, p)
+    out = rhs(state, p)[0]
     expected = -p.mu * 4.0 * u.data
     assert np.abs(out.data - expected).max() < 1e-13
 
@@ -67,7 +66,7 @@ def test_rhs_u_single_mode_pure_diffusion(grid8):
 def test_rhs_u_energy_identity(grid8):
     for seed in range(5):
         state = random_state(grid8, seed=600 + seed)
-        val = inner(rhs_u(state, PARAMS), state.u)
+        val = inner(rhs(state, PARAMS)[0], state.u)
         expected = -(PARAMS.mu + PARAMS.chi) * l2_grad(state.u) ** 2 + (
             PARAMS.chi * inner(curl(state.w), state.u)
         )
@@ -85,7 +84,7 @@ def test_rhs_w_gradient_mode(grid8):
 
     w = derivative(phi_mode, 0)
     state = SimState(0.0, zero_field(grid8), w)
-    out = rhs_w(state, PARAMS)
+    out = rhs(state, PARAMS)[1]
     expected = (-(PARAMS.gamma + 1.0) * k**2 - 2.0 * PARAMS.chi) * w.data
     assert np.abs(out.data - expected).max() < 1e-13
 
@@ -94,7 +93,7 @@ def test_rhs_w_solenoidal_mode(grid8):
     k = 1.0
     w = single_mode_field(grid8, component=1, axis=0, index=1)
     state = SimState(0.0, zero_field(grid8), w)
-    out = rhs_w(state, PARAMS)
+    out = rhs(state, PARAMS)[1]
     expected = (-PARAMS.gamma * k**2 - 2.0 * PARAMS.chi) * w.data
     assert np.abs(out.data - expected).max() < 1e-13
 
@@ -102,7 +101,7 @@ def test_rhs_w_solenoidal_mode(grid8):
 def test_rhs_w_energy_identity(grid8):
     for seed in range(5):
         state = random_state(grid8, seed=700 + seed)
-        val = inner(rhs_w(state, PARAMS), state.w)
+        val = inner(rhs(state, PARAMS)[1], state.w)
         expected = (
             -PARAMS.gamma * l2_grad(state.w) ** 2
             - l2_div(state.w) ** 2
@@ -216,6 +215,19 @@ def test_overflow_detected_as_divergence(grid8):
         cfg = StepperConfig(dt=1e-250, t_end=2e-250)
         with pytest.raises(SimulationDiverged):
             step(state, PARAMS, cfg)
+
+
+def test_divergence_reports_step_index(grid8):
+    # The overflow state above, driven through evolve: the abort names step 1.
+    from micropolar.dynamics import SimulationDiverged
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = random_state(grid8, seed=47, scale=1e200)
+        cfg = StepperConfig(dt=1e-250, t_end=2e-250)
+        with pytest.raises(SimulationDiverged) as info:
+            for _ in evolve(state, PARAMS, cfg):
+                pass
+    assert info.value.step == 1
 
 
 def test_discrete_energy_balance_fourth_order(grid16):

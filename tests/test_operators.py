@@ -310,6 +310,13 @@ def test_cross_integral_matches_operator_composition(grid8):
     )
     val = epsilon_cross_integral(w, u)
     assert abs(val - oracle) <= 1e-10 * max(abs(oracle), 1.0)
+    # Oracle: the eps_{ijk} contraction written out against LEVI_CIVITA,
+    # L^3 sum_k |k|^2 k_j Re[i conj(w_i) u_k].
+    kvec = np.stack(np.broadcast_arrays(grid8.dkx, grid8.dky, grid8.dkz))
+    weighted = np.conj(w.data) * grid8.deriv_k_sq
+    contraction = np.einsum("ijk,jabc,iabc,kabc->", LEVI_CIVITA, kvec, weighted, u.data)
+    explicit = -grid8.volume * contraction.imag
+    assert abs(val - explicit) <= 1e-13 * abs(explicit)
 
 
 def test_cross_integral_vanishes_without_either_field(grid8):

@@ -269,6 +269,17 @@ def test_terms_zero_trajectory(grid8):
     assert ledger.sqrt_pi == pytest.approx(math.sqrt(math.pi))
 
 
+def test_terms_without_numpy_trapezoid(grid8, monkeypatch):
+    # numpy < 2.0 has no np.trapezoid; the ledger must not need it.
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    p = PhysicalParams(mu=0.3, gamma=0.3, chi=0.2)
+    u = random_spectral_field(grid8, seed=5, solenoidal=True)
+    w = random_spectral_field(grid8, seed=6)
+    ledger = duhamel_terms([SimState(t, u, w) for t in (1.0, 1.5, 2.0)], p)
+    assert isinstance(ledger, DuhamelLedger)
+    assert np.all(np.isfinite(ledger.term_ii)) and np.all(ledger.term_ii > 0.0)
+
+
 def test_term_i_damped_decay(nonlinear_trajectories):
     p, traj = nonlinear_trajectories[0.5]
     ledger = duhamel_terms(traj[::4], p)
