@@ -57,10 +57,10 @@ from .semigroup import (
 from .diagnostics import (
     DecayFit,
     DiagnosticsRecord,
+    RunAccumulator,
     derivative_ledger,
     detect_t0,
     fit_decay,
-    record,
 )
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, parse_config

@@ -11,11 +11,13 @@ Layout (all little-endian):
                   m <= n/2 and 2*pi/L * (m - n) above)
 
 complex128 is an interleaved (re, im) pair of f64, so the payload matches
-the documented wire format byte for byte.
+the documented wire format byte for byte.  The writer fills <path>.tmp and
+moves it over <path>, so a failed write never destroys the last checkpoint.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -47,11 +49,23 @@ def write_checkpoint(state: SimState, params: PhysicalParams, path: str | Path) 
         state.u.data.astype("<c16", copy=False).tobytes()
         + state.w.data.astype("<c16", copy=False).tobytes()
     )
-    Path(path).write_bytes(header + payload)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror})") from None
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header")
     magic, n, length, t, mu, gamma, chi = _HEADER.unpack_from(blob)

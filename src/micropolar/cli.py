@@ -26,16 +26,18 @@ EXIT_USAGE = 2
 EXIT_RUNTIME_ABORT = 3
 
 
-def _cmd_run(config_path: str) -> int:
+def _load_config(config_path: str):
+    """The parsed config, or None after printing why it cannot be used."""
     try:
-        config = parse_config(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return EXIT_USAGE
+        return parse_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _drive(config)
+        return None
+
+
+def _cmd_run(config_path: str) -> int:
+    config = _load_config(config_path)
+    return EXIT_USAGE if config is None else _drive(config)
 
 
 def _drive(config, initial=None, params=None) -> int:
@@ -76,19 +78,11 @@ def _cmd_verify(suite: str) -> int:
 
 
 def _cmd_resume(checkpoint_path: str, config_path: str) -> int:
-    try:
-        config = parse_config(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    config = _load_config(config_path)
+    if config is None:
         return EXIT_USAGE
     try:
         state, params = read_checkpoint(checkpoint_path)
-    except FileNotFoundError:
-        print(f"error: checkpoint not found: {checkpoint_path}", file=sys.stderr)
-        return EXIT_USAGE
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

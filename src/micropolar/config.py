@@ -173,4 +173,14 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: cannot decode ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_config_text(text)

@@ -1,11 +1,10 @@
 """Norm records, energy ledgers, monotonicity detection, and decay fits.
 
-record() folds a time-ordered stream of states into rows carrying every
-tracked norm plus the running dissipation integrals of the pair-energy
-ledger; derivative_ledger() does the same for the gradient-energy estimate.
-Both accumulate with the trapezoid rule between the supplied samples -- the
-run driver feeds them every step and upgrades the integrals with the
-end-corrected accumulator from quadrature.py.
+RunAccumulator is the pair-energy ledger: it samples the dissipation
+integrands at every step, integrates them with the end-corrected trapezoid
+rule from quadrature.py, and assembles a DiagnosticsRecord carrying every
+tracked norm at output times.  derivative_ledger() folds states into the
+gradient-energy estimate with the plain trapezoid rule between samples.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .norms import (
     l2_grad_div,
 )
 from .operators import CALIBRATED_C_INFTY, epsilon_cross_integral
+from .quadrature import RunningIntegral
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class DiagnosticsRecord:
         lhs = ||(u,w)(t)||^2 + 2 mu int ||Du||^2 + 2 gamma int ||Dw||^2
               + 2 int ||div w||^2 + 2 chi int ||w||^2
         rhs = ||(u,w)(t0)||^2
-    with all integrals taken from the first record of the fold.
+    with all integrals taken from the accumulator's first sample.
     """
 
     t: float
@@ -67,79 +67,6 @@ class DiagnosticsRecord:
             self.l2_pair**2, 1e-300
         ):
             raise ValueError("pair norm does not compose from l2_u, l2_w")
-
-
-def _instantaneous(state: SimState, p: PhysicalParams) -> dict:
-    u, w = state.u, state.w
-    l2_u, l2_w = l2(u), l2(w)
-    l2_du, l2_dw = l2_grad(u), l2_grad(w)
-    d2u, d2w = l2_grad2(u), l2_grad2(w)
-    linf_u = float(np.abs(inverse_transform(u.data)).max())
-    linf_w = float(np.abs(inverse_transform(w.data)).max())
-    return {
-        "t": state.t,
-        "l2_u": l2_u,
-        "l2_w": l2_w,
-        "l2_pair": float(np.hypot(l2_u, l2_w)),
-        "l2_du": l2_du,
-        "l2_dw": l2_dw,
-        "l2_dpair": float(np.hypot(l2_du, l2_dw)),
-        "l2_d2pair": float(np.hypot(d2u, d2w)),
-        "l2_divw": l2_div(w),
-        "linf_pair": float(np.hypot(linf_u, linf_w)),
-        "cross_term": 4.0 * p.chi * epsilon_cross_integral(w, u),
-    }
-
-
-def record(
-    state: SimState,
-    p: PhysicalParams,
-    running: DiagnosticsRecord | None = None,
-) -> DiagnosticsRecord:
-    """Fold one state into the diagnostics stream (trapezoid accumulation)."""
-    vals = _instantaneous(state, p)
-    if running is None:
-        ints = dict(int_du_sq=0.0, int_dw_sq=0.0, int_divw_sq=0.0, int_w_sq=0.0)
-        rhs = vals["l2_pair"] ** 2
-    else:
-        dt = state.t - running.t
-        if dt <= 0.0:
-            raise ValueError(
-                f"non-monotone time stamps: {state.t} after {running.t}"
-            )
-        ints = dict(
-            int_du_sq=running.int_du_sq
-            + 0.5 * dt * (running.l2_du**2 + vals["l2_du"] ** 2),
-            int_dw_sq=running.int_dw_sq
-            + 0.5 * dt * (running.l2_dw**2 + vals["l2_dw"] ** 2),
-            int_divw_sq=running.int_divw_sq
-            + 0.5 * dt * (running.l2_divw**2 + vals["l2_divw"] ** 2),
-            int_w_sq=running.int_w_sq
-            + 0.5 * dt * (running.l2_w**2 + vals["l2_w"] ** 2),
-        )
-        rhs = running.energy_ledger_rhs
-    lhs = ledger_lhs(vals["l2_pair"], p, **ints)
-    return DiagnosticsRecord(
-        energy_ledger_lhs=lhs, energy_ledger_rhs=rhs, **vals, **ints
-    )
-
-
-def ledger_lhs(
-    l2_pair: float,
-    p: PhysicalParams,
-    int_du_sq: float,
-    int_dw_sq: float,
-    int_divw_sq: float,
-    int_w_sq: float,
-) -> float:
-    """Left side of the pair-energy inequality from its ingredients."""
-    return (
-        l2_pair**2
-        + 2.0 * p.mu * int_du_sq
-        + 2.0 * p.gamma * int_dw_sq
-        + 2.0 * int_divw_sq
-        + 2.0 * p.chi * int_w_sq
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +275,24 @@ def fit_decay(series, fit_window: tuple[float, float]) -> DecayFit:
 class RunAccumulator:
     """Per-step ledger accumulation with end-corrected trapezoid integrals.
 
-    The four dissipation integrands are cheap spectral sums, sampled every
-    step; full records (with the transforms behind the sup norm and the
-    cross term) are only assembled at output times.
+    push() samples the four dissipation integrands, cheap spectral sums, at
+    every step of spacing dt; record() assembles a full record (with the
+    transforms behind the sup norm and the cross term) at output times only.
     """
 
     def __init__(self, p: PhysicalParams, dt: float):
-        from .quadrature import RunningIntegral
-
         self.params = p
         self._du = RunningIntegral(dt)
         self._dw = RunningIntegral(dt)
         self._divw = RunningIntegral(dt)
         self._w = RunningIntegral(dt)
         self.initial_pair_sq: float | None = None
+        self._t: float | None = None
 
     def push(self, state: SimState) -> None:
+        if self._t is not None and state.t <= self._t:
+            raise ValueError(f"non-monotone time stamps: {state.t} after {self._t}")
+        self._t = state.t
         u, w = state.u, state.w
         du, dw = l2_grad(u), l2_grad(w)
         self._du.push(du**2)
@@ -374,17 +303,39 @@ class RunAccumulator:
             self.initial_pair_sq = l2(u) ** 2 + l2(w) ** 2
 
     def record(self, state: SimState) -> DiagnosticsRecord:
-        vals = _instantaneous(state, self.params)
-        ints = dict(
-            int_du_sq=self._du.value,
-            int_dw_sq=self._dw.value,
-            int_divw_sq=self._divw.value,
-            int_w_sq=self._w.value,
+        p = self.params
+        u, w = state.u, state.w
+        l2_u, l2_w = l2(u), l2(w)
+        l2_du, l2_dw = l2_grad(u), l2_grad(w)
+        d2u, d2w = l2_grad2(u), l2_grad2(w)
+        linf_u = float(np.abs(inverse_transform(u.data)).max())
+        linf_w = float(np.abs(inverse_transform(w.data)).max())
+        l2_pair = float(np.hypot(l2_u, l2_w))
+        int_du_sq, int_dw_sq = self._du.value, self._dw.value
+        int_divw_sq, int_w_sq = self._divw.value, self._w.value
+        lhs = (
+            l2_pair**2
+            + 2.0 * p.mu * int_du_sq
+            + 2.0 * p.gamma * int_dw_sq
+            + 2.0 * int_divw_sq
+            + 2.0 * p.chi * int_w_sq
         )
-        lhs = ledger_lhs(vals["l2_pair"], self.params, **ints)
         return DiagnosticsRecord(
+            t=state.t,
+            l2_u=l2_u,
+            l2_w=l2_w,
+            l2_pair=l2_pair,
+            l2_du=l2_du,
+            l2_dw=l2_dw,
+            l2_dpair=float(np.hypot(l2_du, l2_dw)),
+            l2_d2pair=float(np.hypot(d2u, d2w)),
+            l2_divw=l2_div(w),
+            linf_pair=float(np.hypot(linf_u, linf_w)),
+            cross_term=4.0 * p.chi * epsilon_cross_integral(w, u),
             energy_ledger_lhs=lhs,
             energy_ledger_rhs=self.initial_pair_sq,
-            **vals,
-            **ints,
+            int_du_sq=int_du_sq,
+            int_dw_sq=int_dw_sq,
+            int_divw_sq=int_divw_sq,
+            int_w_sq=int_w_sq,
         )

@@ -59,13 +59,11 @@ class StepperConfig:
     dt          step size
     t_end       stop time (the run takes ceil((t_end - t0)/dt) steps)
     cfl_safety  cap on max|u| * dt / dx, in (0, 1]
-    freeze_u    hold u fixed and evolve only w (linear-decay experiments)
     """
 
     dt: float
     t_end: float
     cfl_safety: float = 0.5
-    freeze_u: bool = False
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
@@ -195,8 +193,8 @@ def recover_pressure(state: SimState) -> ScalarField:
 class Stepper:
     """Advances a SimState by a fixed dt with precomputed propagators.
 
-    With freeze_u the same RK4 sequence runs with a unit u-propagator and
-    N_u = 0, so u keeps its initial value (re-projected each step).
+    With u = 0 the explicit term vanishes and a step reduces to the exact
+    linear w propagator, _apply_w(w, half=False).
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -207,11 +205,8 @@ class Stepper:
         self.last_vmax = 0.0
         dt = config.dt
         dsq = grid.deriv_k_sq
-        if config.freeze_u:
-            self._eu_half = self._eu_full = 1.0
-        else:
-            self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
-            self._eu_full = self._eu_half**2
+        self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
+        self._eu_full = self._eu_half**2
         gamma, chi = params.gamma, params.chi
         self._ew_half = np.exp(-(gamma * dsq + 2.0 * chi) * (dt / 2.0))
         self._ew_full = self._ew_half**2
@@ -230,14 +225,6 @@ class Stepper:
         out[2] = e * (data[2] + b * g.dkz * factor)
         return out
 
-    def _explicit(
-        self, u_data: np.ndarray, w_data: np.ndarray, u_phys: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n_u, n_w = _explicit_hats(u_data, w_data, self.grid, self.params.chi, u_phys)
-        if self.config.freeze_u:
-            n_u = np.zeros_like(n_u)
-        return n_u, n_w
-
     def _check_cfl(self, u_phys: np.ndarray) -> None:
         vmax = float(np.abs(u_phys).max())
         self.last_vmax = vmax
@@ -251,27 +238,27 @@ class Stepper:
             )
 
     def step(self, state: SimState, t_next: float | None = None) -> SimState:
-        g, dt = self.grid, self.config.dt
+        g, dt, chi = self.grid, self.config.dt, self.params.chi
         half = dt / 2.0
         eu_half, eu_full, apply_w = self._eu_half, self._eu_full, self._apply_w
         u0, w0 = state.u.data, state.w.data
 
         u_phys = inverse_transform(u0)
         self._check_cfl(u_phys)
-        n1u, n1w = self._explicit(u0, w0, u_phys)
+        n1u, n1w = _explicit_hats(u0, w0, g, chi, u_phys)
         self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
 
         u2 = leray_hat(eu_half * (u0 + half * n1u), g)
         w2 = apply_w(w0 + half * n1w, True)
-        n2u, n2w = self._explicit(u2, w2)
+        n2u, n2w = _explicit_hats(u2, w2, g, chi)
 
         u3 = leray_hat(eu_half * u0 + half * n2u, g)
         w3 = apply_w(w0, True) + half * n2w
-        n3u, n3w = self._explicit(u3, w3)
+        n3u, n3w = _explicit_hats(u3, w3, g, chi)
 
         u4 = leray_hat(eu_full * u0 + dt * eu_half * n3u, g)
         w4 = apply_w(w0, False) + dt * apply_w(n3w, True)
-        n4u, n4w = self._explicit(u4, w4)
+        n4u, n4w = _explicit_hats(u4, w4, g, chi)
 
         u_next = eu_full * u0 + (dt / 6.0) * (
             eu_full * n1u + 2.0 * eu_half * (n2u + n3u) + n4u

@@ -10,6 +10,7 @@ terminated rows):
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -43,18 +44,27 @@ def format_csv_row(rec: DiagnosticsRecord) -> str:
 
 
 class DirectoryLock:
-    """One writer per output directory, enforced by a lock file."""
+    """One writer per output directory, enforced by a lock file.
+
+    The lock file holds the owner's pid, so that a stale lock can be told
+    from a live run.
+    """
 
     def __init__(self, directory: Path):
         self.path = Path(directory) / ".micropolar.lock"
 
     def __enter__(self) -> "DirectoryLock":
         try:
-            self.path.touch(exist_ok=False)
+            with self.path.open("x") as lock:
+                lock.write(f"{os.getpid()}\n")
         except FileExistsError:
+            try:
+                owner = self.path.read_text().strip() or "unknown"
+            except OSError:
+                owner = "unknown"
             raise OutputDirBusy(
                 f"output directory {self.path.parent} is locked by another "
-                f"run (remove {self.path.name} if that run is gone)"
+                f"run (pid {owner}; remove {self.path.name} if that run is gone)"
             ) from None
         return self
 

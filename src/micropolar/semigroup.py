@@ -414,7 +414,8 @@ def duhamel_terms(
     """Evaluate the four mild-solution magnitudes along a trajectory.
 
     The forcing norms are collapsed onto integer |k|^2 shells once per
-    sample, so re-propagating every node for every output time is cheap.
+    sample; each output time then propagates every earlier node with one
+    (nodes, shells) matrix of heat damping factors.
     """
     states = list(trajectory)
     if len(states) < 2:
@@ -435,43 +436,42 @@ def duhamel_terms(
         return _shell_collapse(weighted_sq, grid) * grid.volume
 
     w0_shells = shells_of(states[0].w.data)
-    adv_shells, gdv_shells, crl_shells = [], [], []
-    for s in states:
-        adv_shells.append(shells_of(advect_hat(s.u.data, s.w.data, s.grid)))
-        gdv_shells.append(shells_of(grad_div_hat(s.w.data, s.grid)))
-        crl_shells.append(shells_of(curl_hat(s.u.data, s.grid)))
-
+    # (sample, forcing, shell) for the advection, grad-div and curl forcings
+    forcing_shells = np.array(
+        [
+            [
+                shells_of(advect_hat(s.u.data, s.w.data, s.grid)),
+                shells_of(grad_div_hat(s.w.data, s.grid)),
+                shells_of(curl_hat(s.u.data, s.grid)),
+            ]
+            for s in states
+        ]
+    )
     q_idx = np.arange(len(w0_shells))
 
-    def evolved_norm(shell: np.ndarray, tau: float) -> float:
-        damp = np.exp(-2.0 * p.gamma * tau * k_min_sq * q_idx)
-        return float(np.sqrt(np.dot(shell, damp)))
-
-    times, t1, t2, t3, t4 = [], [], [], [], []
+    rows = []
     for j in range(1, len(states)):
         t = svals[j]
         wgt = np.sqrt(t) if weighted else 1.0
-        times.append(t)
-        t1.append(wgt * np.exp(-2.0 * p_chi * (t - t0)) * evolved_norm(w0_shells, t - t0))
-        for out, shelf in ((t2, adv_shells), (t3, gdv_shells), (t4, crl_shells)):
-            integrand = np.array(
-                [
-                    np.exp(-2.0 * p_chi * (t - svals[i]))
-                    * evolved_norm(shelf[i], t - svals[i])
-                    for i in range(j + 1)
-                ]
-            )
-            steps = np.diff(svals[: j + 1])
-            trapezoid = np.sum(steps * (integrand[1:] + integrand[:-1]) / 2.0)
-            out.append(wgt * float(trapezoid))
-        t4[-1] *= p_chi
+        tau = t - svals[: j + 1]
+        damp = np.exp(-2.0 * p.gamma * tau[:, None] * k_min_sq * q_idx)
+        chi_damp = np.exp(-2.0 * p_chi * tau)
+        term_i = wgt * chi_damp[0] * np.sqrt(np.dot(w0_shells, damp[0]))
+        integrand = chi_damp[:, None] * np.sqrt(
+            np.einsum("iq,ifq->if", damp, forcing_shells[: j + 1])
+        )
+        steps = np.diff(svals[: j + 1])[:, None]
+        trapezoid = np.sum(steps * (integrand[1:] + integrand[:-1]) / 2.0, axis=0)
+        rows.append((t, term_i, *(wgt * trapezoid)))
+    times, t1, t2, t3, t4 = np.array(rows).T
+    t4 = t4 * p_chi
 
     return DuhamelLedger(
         t0=t0,
-        times=np.array(times),
-        term_i=np.array(t1),
-        term_ii=np.array(t2),
-        term_iii=np.array(t3),
-        term_iv=np.array(t4),
+        times=times,
+        term_i=t1,
+        term_ii=t2,
+        term_iii=t3,
+        term_iv=t4,
         weighted=weighted,
     )

@@ -147,6 +147,27 @@ def test_checkpoint_non_finite(tmp_path, grid8):
         read_checkpoint(path)
 
 
+def test_checkpoint_failed_write_keeps_previous(tmp_path, grid8, monkeypatch):
+    params = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(make_state(grid8), params, path)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def half_then_fail(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(make_state(grid8, seed=5, t=2.5), params, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    loaded, _ = read_checkpoint(path)
+    assert loaded.t == 1.25
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # run driver
 
@@ -207,6 +228,17 @@ def test_lock_conflict(tmp_path):
     execute_run(cfg)
 
 
+def test_lock_names_owner_pid(tmp_path):
+    out = tmp_path / "busy"
+    out.mkdir()
+    with DirectoryLock(out) as lock:
+        pid = int(lock.path.read_text())
+        assert pid == os.getpid()
+        cfg = parse_config_text(small_config_text(out))
+        with pytest.raises(OutputDirBusy, match=rf"pid {pid}\b"):
+            execute_run(cfg)
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes
 
@@ -231,6 +263,21 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
 
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_text", "checkpoint_is_dir"])
+def test_cli_bad_path_exit_2(tmp_path, capsys, case):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"grid.n = 8\n\xff\n")
+    chi01 = Path(__file__).resolve().parent.parent / "configs" / "chi01.cfg"
+    argv = {
+        "config_is_dir": ["run", str(tmp_path)],
+        "config_not_text": ["run", str(bad)],
+        "checkpoint_is_dir": ["resume", str(tmp_path), str(chi01)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_cli_runtime_abort_exit_3(tmp_path, capsys):

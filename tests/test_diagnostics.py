@@ -10,10 +10,10 @@ from micropolar.diagnostics import (
     derivative_ledger,
     detect_t0,
     fit_decay,
-    record,
 )
 from micropolar.dynamics import (
     InitialCondition,
+    Stepper,
     StepperConfig,
     evolve,
     make_initial,
@@ -39,13 +39,27 @@ def random_state(grid, seed, t=0.0):
     return SimState(t, u, w)
 
 
+def ledger_series(states, p, dt):
+    """One accumulator record per state; the states are dt apart."""
+    acc = RunAccumulator(p, dt)
+    series = []
+    for state in states:
+        acc.push(state)
+        series.append(acc.record(state))
+    return series
+
+
+def record_of(state, p):
+    return ledger_series([state], p, dt=1.0)[0]
+
+
 # ---------------------------------------------------------------------------
-# record
+# records and the energy ledger
 
 
 def test_zero_state_record(grid8):
     state = SimState(0.0, zero_field(grid8), zero_field(grid8))
-    rec = record(state, PARAMS)
+    rec = record_of(state, PARAMS)
     for name in (
         "l2_u", "l2_w", "l2_pair", "l2_du", "l2_dw", "l2_dpair",
         "l2_d2pair", "l2_divw", "linf_pair", "cross_term",
@@ -56,7 +70,7 @@ def test_zero_state_record(grid8):
 
 def test_pair_composition_exact(grid8):
     for seed in range(5):
-        rec = record(random_state(grid8, 100 + seed), PARAMS)
+        rec = record_of(random_state(grid8, 100 + seed), PARAMS)
         assert rec.l2_pair**2 == pytest.approx(
             rec.l2_u**2 + rec.l2_w**2, rel=1e-14
         )
@@ -67,30 +81,33 @@ def test_pair_composition_exact(grid8):
 
 def test_single_mode_ledger_closed_form(grid8):
     # u a single solenoidal mode, w = 0, chi = 0: the exact solution decays
-    # by the heat factor, the ledger gap is pure trapezoid error, O(h^2).
+    # by the heat factor, the ledger gap is pure quadrature error, O(h^4)
+    # for the end-corrected trapezoid.
     p = PhysicalParams(mu=0.3, gamma=0.25, chi=0.0)
     u0 = single_mode_field(grid8, component=1, axis=0, index=1)
     zeros = zero_field(grid8)
 
     def ledger_gap(h):
-        rec = None
-        for t in np.arange(0.0, 2.0 + h / 2, h):
-            state = SimState(t, heat_apply(u0, p.mu, t), zeros)
-            rec = record(state, p, rec)
+        states = [
+            SimState(t, heat_apply(u0, p.mu, t), zeros)
+            for t in np.arange(0.0, 2.0 + h / 2, h)
+        ]
+        rec = ledger_series(states, p, h)[-1]
         return abs(rec.energy_ledger_lhs - rec.energy_ledger_rhs) / (
             rec.energy_ledger_rhs
         )
 
     gap_h, gap_h2 = ledger_gap(0.05), ledger_gap(0.025)
-    assert gap_h / gap_h2 == pytest.approx(4.0, rel=0.15)
-    assert gap_h2 < 1e-4
+    assert gap_h / gap_h2 == pytest.approx(16.0, rel=0.15)
+    assert gap_h2 < 1e-9
 
 
 def test_record_rejects_non_monotone(grid8):
     state = random_state(grid8, 7)
-    rec = record(state, PARAMS)
+    acc = RunAccumulator(PARAMS, dt=0.1)
+    acc.push(state)
     with pytest.raises(ValueError, match="non-monotone"):
-        record(state, PARAMS, rec)
+        acc.push(state)
 
 
 def test_energy_inequality_on_nonlinear_run():
@@ -191,7 +208,7 @@ def test_advective_production_under_majorant(grid8):
             2.0 * inner(advect(u, u), laplacian(u))
             + 2.0 * inner(advect(u, w), laplacian(w))
         )
-        rec = record(state, PARAMS)
+        rec = record_of(state, PARAMS)
         bound = 4.0 * rec.linf_pair * rec.l2_dpair * rec.l2_d2pair
         assert nl <= bound * (1.0 + 1e-12)
 
@@ -213,14 +230,16 @@ def test_derivative_ledger_accumulates(grid8):
 # detect_t0
 
 
-def heat_decay_series(grid, p, u0, w0, times):
-    rec = None
-    out = []
-    for t in times:
-        state = SimState(t, heat_apply(u0, p.mu, t), heat_apply(w0, p.gamma, t))
-        rec = record(state, p, rec)
-        out.append(rec)
-    return out
+def heat_decay_states(p, u0, w0, times):
+    return [
+        SimState(t, heat_apply(u0, p.mu, t), heat_apply(w0, p.gamma, t))
+        for t in times
+    ]
+
+
+def heat_decay_series(p, u0, w0, times):
+    states = heat_decay_states(p, u0, w0, times)
+    return ledger_series(states, p, dt=times[1] - times[0])
 
 
 def test_detect_t0_linear_run_first_sample(grid8):
@@ -228,7 +247,7 @@ def test_detect_t0_linear_run_first_sample(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=0.01)
     w0 = single_mode_field(grid8, 0, 1, 1, amplitude=0.01)
-    series = heat_decay_series(grid8, p, u0, w0, np.linspace(0.0, 2.0, 11))
+    series = heat_decay_series(p, u0, w0, np.linspace(0.0, 2.0, 11))
     fit = detect_t0(series, p)
     assert fit.found and fit.t0_detected == 0.0
     assert fit.monotone_after_t0
@@ -240,7 +259,7 @@ def test_detect_t0_interior_for_large_data(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=1.2)
     w0 = single_mode_field(grid8, 0, 1, 1, amplitude=1.2)
-    series = heat_decay_series(grid8, p, u0, w0, np.linspace(0.0, 8.0, 81))
+    series = heat_decay_series(p, u0, w0, np.linspace(0.0, 8.0, 81))
     fit = detect_t0(series, p)
     assert fit.found
     assert 0.0 < fit.t0_detected < 8.0
@@ -251,7 +270,7 @@ def test_detect_t0_not_found(grid8):
     p = PhysicalParams(mu=0.01, gamma=0.01, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=50.0)
     w0 = single_mode_field(grid8, 0, 1, 1, amplitude=50.0)
-    series = heat_decay_series(grid8, p, u0, w0, np.linspace(0.0, 0.5, 6))
+    series = heat_decay_series(p, u0, w0, np.linspace(0.0, 0.5, 6))
     fit = detect_t0(series, p)
     assert not fit.found
     assert fit.t0_detected is None and fit.window is None
@@ -261,18 +280,11 @@ def test_detect_t0_flags_injected_bump(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=0.01)
     w0 = single_mode_field(grid8, 0, 1, 1, amplitude=0.01)
-    series = heat_decay_series(grid8, p, u0, w0, np.linspace(0.0, 2.0, 11))
-    bumped = series[:5]
-    spiked = record(
-        SimState(
-            series[5].t,
-            heat_apply(u0, p.mu, 0.0),  # norms jump back to t=0 level
-            heat_apply(w0, p.gamma, 0.0),
-        ),
-        p,
-        bumped[-1],
-    )
-    bumped = bumped + [spiked]
+    times = np.linspace(0.0, 2.0, 11)
+    states = heat_decay_states(p, u0, w0, times[:5])
+    # norms jump back to the t=0 level
+    spiked = SimState(times[5], states[0].u, states[0].w)
+    bumped = ledger_series(states + [spiked], p, dt=times[1] - times[0])
     fit = detect_t0(bumped, p)
     assert fit.found
     assert not fit.monotone_after_t0
@@ -281,7 +293,7 @@ def test_detect_t0_flags_injected_bump(grid8):
 def test_detect_t0_rejects_unordered(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=0.01)
-    series = heat_decay_series(grid8, p, u0, u0, [0.0, 1.0])
+    series = heat_decay_series(p, u0, u0, [0.0, 1.0])
     with pytest.raises(ValueError, match="time-ordered"):
         detect_t0(series[::-1], p)
     with pytest.raises(ValueError, match="empty"):
@@ -295,11 +307,10 @@ def test_detect_t0_rejects_unordered(grid8):
 def test_fit_decay_zero_data(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     zeros = zero_field(grid8)
-    rec = None
-    series = []
-    for t in np.linspace(0.0, 1.0, 5):
-        rec = record(SimState(t, zeros, zeros), p, rec)
-        series.append(rec)
+    times = np.linspace(0.0, 1.0, 5)
+    series = ledger_series(
+        [SimState(t, zeros, zeros) for t in times], p, dt=times[1] - times[0]
+    )
     fit = fit_decay(series, (0.0, 1.0))
     assert np.all(fit.w_scaled_trend == 0.0)
     assert np.all(fit.t_weighted_grad_sq == 0.0)
@@ -311,13 +322,15 @@ def test_fit_decay_frozen_u_rate(grid8):
     chi = 0.4
     p = PhysicalParams(mu=0.3, gamma=0.3, chi=chi)
     w0 = random_spectral_field(grid8, seed=55)
-    state = SimState(0.0, zero_field(grid8), w0)
-    cfg = StepperConfig(dt=0.05, t_end=2.0, freeze_u=True)
-    rec = record(state, p)
-    series = [rec]
-    for _, state, _ in evolve(state, p, cfg):
-        rec = record(state, p, rec)
-        series.append(rec)
+    zeros = zero_field(grid8)
+    states = [SimState(0.0, zeros, w0)]
+    dt = 0.05
+    # with u = 0 a step is the stepper's exact linear w propagator
+    stepper = Stepper(grid8, p, StepperConfig(dt=dt, t_end=2.0))
+    for j in range(1, 41):
+        w = stepper._apply_w(states[-1].w.data, half=False)
+        states.append(SimState(j * dt, zeros, SpectralVectorField(grid8, w)))
+    series = ledger_series(states, p, dt)
     fit = fit_decay(series, (0.0, 2.0))
     assert fit.w_exp_rate >= 2.0 * chi * (1.0 - 1e-3)
     assert fit.pair_strictly_decreasing
@@ -326,7 +339,7 @@ def test_fit_decay_frozen_u_rate(grid8):
 def test_fit_decay_window_validation(grid8):
     p = PhysicalParams(mu=0.5, gamma=0.5, chi=0.0)
     u0 = single_mode_field(grid8, 1, 0, 1, amplitude=0.1)
-    series = heat_decay_series(grid8, p, u0, u0, np.linspace(0.0, 1.0, 5))
+    series = heat_decay_series(p, u0, u0, np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match="window"):
         fit_decay(series, (5.0, 6.0))
 

@@ -280,6 +280,36 @@ def test_terms_without_numpy_trapezoid(grid8, monkeypatch):
     assert np.all(np.isfinite(ledger.term_ii)) and np.all(ledger.term_ii > 0.0)
 
 
+def test_terms_match_direct_propagation(nonlinear_trajectories):
+    # Oracle: propagate every forcing field with heat_apply, take its L2 norm
+    # node by node, and sum the trapezoid rule in s for each output time.
+    from micropolar.operators import advect, grad_div
+
+    p, traj = nonlinear_trajectories[0.5]
+    traj = traj[::8]
+    ledger = duhamel_terms(traj, p, weighted=False)
+    forcings = {
+        "term_ii": lambda st: advect(st.u, st.w),
+        "term_iii": lambda st: grad_div(st.w),
+        "term_iv": lambda st: curl(st.u),
+    }
+    for j, t in enumerate(ledger.times, start=1):
+        s = np.array([st.t for st in traj[: j + 1]])
+        for name, forcing in forcings.items():
+            vals = np.array(
+                [
+                    np.exp(-2.0 * p.chi * (t - si))
+                    * l2(heat_apply(forcing(st), p.gamma, t - si))
+                    for si, st in zip(s, traj)
+                ]
+            )
+            expected = np.sum(np.diff(s) * (vals[1:] + vals[:-1]) / 2.0)
+            if name == "term_iv":
+                expected *= p.chi
+            got = getattr(ledger, name)[j - 1]
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
 def test_term_i_damped_decay(nonlinear_trajectories):
     p, traj = nonlinear_trajectories[0.5]
     ledger = duhamel_terms(traj[::4], p)
