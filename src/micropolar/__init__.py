@@ -1,14 +1,5 @@
 """Pseudo-spectral simulator and verification suite for 3D micropolar flow."""
 
-# Honor the thread cap before numpy/scipy spin up their pools.
-import os as _os
-
-_cap = _os.environ.get("MICROPOLAR_THREADS")
-if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
-del _os, _cap
-
 from .grid import Grid, make_grid
 from .fields import (
     PhysicalParams,
@@ -58,7 +49,6 @@ from .diagnostics import (
     DecayFit,
     DiagnosticsRecord,
     RunAccumulator,
-    derivative_ledger,
     detect_t0,
     fit_decay,
 )

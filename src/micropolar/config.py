@@ -25,6 +25,7 @@ into a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,9 +107,12 @@ def _convert(raw: str, target: type, line: int, key: str):
             raise ConfigError(f"expected an integer, got {raw!r}", line, key)
     if target is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"expected a number, got {raw!r}", line, key)
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}", line, key)
+        return value
     return raw
 
 

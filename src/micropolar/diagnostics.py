@@ -1,10 +1,9 @@
-"""Norm records, energy ledgers, monotonicity detection, and decay fits.
+"""Norm records, the energy ledger, monotonicity detection, and decay fits.
 
 RunAccumulator is the pair-energy ledger: it samples the dissipation
 integrands at every step, integrates them with the end-corrected trapezoid
 rule from quadrature.py, and assembles a DiagnosticsRecord carrying every
-tracked norm at output times.  derivative_ledger() folds states into the
-gradient-energy estimate with the plain trapezoid rule between samples.
+tracked norm at output times.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PhysicalParams, SimState, inverse_transform
-from .norms import (
-    l2,
-    l2_div,
-    l2_grad,
-    l2_grad2,
-    l2_grad_div,
-)
+from .norms import l2, l2_div, l2_grad, l2_grad2
 from .operators import CALIBRATED_C_INFTY, epsilon_cross_integral
 from .quadrature import RunningIntegral
 
@@ -67,81 +60,6 @@ class DiagnosticsRecord:
             self.l2_pair**2, 1e-300
         ):
             raise ValueError("pair norm does not compose from l2_u, l2_w")
-
-
-# ---------------------------------------------------------------------------
-# derivative-energy ledger
-
-
-@dataclass(frozen=True)
-class DerivativeLedgerRecord:
-    """Gradient-energy estimate ingredients at time t.
-
-    sng_majorant is the interpolation majorant
-    4 ||(u,w)||^{1/2} ||(Du,Dw)||^{1/2} ||(D^2u,D^2w)||^2 whose time integral
-    bounds the advective production, and cross_term is
-    4 chi sum_{ijkl} eps_{ijk} int D_l w_i D_l D_j u_k dx.
-    """
-
-    t: float
-    l2_dpair: float
-    l2_d2u: float
-    l2_d2w: float
-    l2_ddivw: float
-    cross_term: float
-    sng_majorant: float
-    int_d2u_sq: float = 0.0
-    int_d2w_sq: float = 0.0
-    int_ddivw_sq: float = 0.0
-    int_dw_sq: float = 0.0
-    int_cross: float = 0.0
-    int_sng: float = 0.0
-    l2_dw: float = 0.0
-
-
-def derivative_ledger(
-    state: SimState,
-    p: PhysicalParams,
-    running: DerivativeLedgerRecord | None = None,
-) -> DerivativeLedgerRecord:
-    """Fold one state into the gradient-energy stream."""
-    u, w = state.u, state.w
-    l2_du, l2_dw = l2_grad(u), l2_grad(w)
-    d2u, d2w = l2_grad2(u), l2_grad2(w)
-    pair = float(np.hypot(l2(u), l2(w)))
-    dpair = float(np.hypot(l2_du, l2_dw))
-    d2pair_sq = d2u**2 + d2w**2
-    vals = dict(
-        t=state.t,
-        l2_dpair=dpair,
-        l2_d2u=d2u,
-        l2_d2w=d2w,
-        l2_ddivw=l2_grad_div(w),
-        cross_term=4.0 * p.chi * epsilon_cross_integral(w, u),
-        sng_majorant=4.0 * np.sqrt(pair) * np.sqrt(dpair) * d2pair_sq,
-        l2_dw=l2_dw,
-    )
-    if running is None:
-        return DerivativeLedgerRecord(**vals)
-    dt = state.t - running.t
-    if dt <= 0.0:
-        raise ValueError(f"non-monotone time stamps: {state.t} after {running.t}")
-
-    def trap(prev: float, cur: float) -> float:
-        return 0.5 * dt * (prev + cur)
-
-    return DerivativeLedgerRecord(
-        **vals,
-        int_d2u_sq=running.int_d2u_sq + trap(running.l2_d2u**2, d2u**2),
-        int_d2w_sq=running.int_d2w_sq + trap(running.l2_d2w**2, d2w**2),
-        int_ddivw_sq=running.int_ddivw_sq
-        + trap(running.l2_ddivw**2, vals["l2_ddivw"] ** 2),
-        int_dw_sq=running.int_dw_sq + trap(running.l2_dw**2, l2_dw**2),
-        int_cross=running.int_cross
-        + trap(running.cross_term, vals["cross_term"]),
-        int_sng=running.int_sng
-        + trap(running.sng_majorant, vals["sng_majorant"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +195,8 @@ class RunAccumulator:
 
     push() samples the four dissipation integrands, cheap spectral sums, at
     every step of spacing dt; record() assembles a full record (with the
-    transforms behind the sup norm and the cross term) at output times only.
+    transforms behind the sup norm and the cross term) at output times only,
+    for the state pushed last, reusing the norms push() computed for it.
     """
 
     def __init__(self, p: PhysicalParams, dt: float):
@@ -287,26 +206,31 @@ class RunAccumulator:
         self._divw = RunningIntegral(dt)
         self._w = RunningIntegral(dt)
         self.initial_pair_sq: float | None = None
-        self._t: float | None = None
+        self._state: SimState | None = None
+        self._norms: tuple[float, float, float, float] | None = None
 
     def push(self, state: SimState) -> None:
-        if self._t is not None and state.t <= self._t:
-            raise ValueError(f"non-monotone time stamps: {state.t} after {self._t}")
-        self._t = state.t
+        if self._state is not None and state.t <= self._state.t:
+            raise ValueError(
+                f"non-monotone time stamps: {state.t} after {self._state.t}"
+            )
         u, w = state.u, state.w
-        du, dw = l2_grad(u), l2_grad(w)
+        l2_w, du, dw, divw = l2(w), l2_grad(u), l2_grad(w), l2_div(w)
         self._du.push(du**2)
         self._dw.push(dw**2)
-        self._divw.push(l2_div(w) ** 2)
-        self._w.push(l2(w) ** 2)
+        self._divw.push(divw**2)
+        self._w.push(l2_w**2)
         if self.initial_pair_sq is None:
-            self.initial_pair_sq = l2(u) ** 2 + l2(w) ** 2
+            self.initial_pair_sq = l2(u) ** 2 + l2_w**2
+        self._state, self._norms = state, (l2_w, du, dw, divw)
 
     def record(self, state: SimState) -> DiagnosticsRecord:
+        if state is not self._state:
+            raise ValueError("record() takes the state pushed last")
         p = self.params
         u, w = state.u, state.w
-        l2_u, l2_w = l2(u), l2(w)
-        l2_du, l2_dw = l2_grad(u), l2_grad(w)
+        l2_u = l2(u)
+        l2_w, l2_du, l2_dw, l2_divw = self._norms
         d2u, d2w = l2_grad2(u), l2_grad2(w)
         linf_u = float(np.abs(inverse_transform(u.data)).max())
         linf_w = float(np.abs(inverse_transform(w.data)).max())
@@ -329,7 +253,7 @@ class RunAccumulator:
             l2_dw=l2_dw,
             l2_dpair=float(np.hypot(l2_du, l2_dw)),
             l2_d2pair=float(np.hypot(d2u, d2w)),
-            l2_divw=l2_div(w),
+            l2_divw=l2_divw,
             linf_pair=float(np.hypot(linf_u, linf_w)),
             cross_term=4.0 * p.chi * epsilon_cross_integral(w, u),
             energy_ledger_lhs=lhs,

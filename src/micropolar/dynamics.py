@@ -20,6 +20,7 @@ from .fields import (
     SpectralVectorField,
     forward_transform,
     inverse_transform,
+    zero_spectral,
 )
 from .grid import Grid
 from .norms import spectral_l2_sq
@@ -322,12 +323,7 @@ def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
         )
 
     if ic.amplitude == 0.0:
-        zeros = np.zeros((3,) + grid.shape, dtype=np.complex128)
-        return SimState(
-            0.0,
-            SpectralVectorField(grid, zeros),
-            SpectralVectorField(grid, zeros.copy()),
-        )
+        return SimState(0.0, zero_spectral(grid), zero_spectral(grid))
 
     if ic.kind == "single_mode":
         m = max(1, int(round(ic.peak_wavenumber / k_min)))

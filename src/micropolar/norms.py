@@ -39,13 +39,6 @@ def l2_div(f: SpectralVectorField) -> float:
     return float(np.sqrt(g.volume * np.sum(np.abs(g.k_dot(f.data)) ** 2)))
 
 
-def l2_grad_div(f: SpectralVectorField) -> float:
-    """||D(div f)||_2, the gradient of the divergence scalar."""
-    g = f.grid
-    div_sq = np.abs(g.k_dot(f.data)) ** 2
-    return float(np.sqrt(g.volume * np.sum(g.deriv_k_sq * div_sq)))
-
-
 def linf(f: RealVectorField) -> float:
     """max over components of the pointwise sup norm."""
     return float(np.abs(f.data).max())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpoint import write_checkpoint
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .diagnostics import DecayFit, DiagnosticsRecord, RunAccumulator, detect_t0, fit_decay
 from .dynamics import make_initial, evolve
 from .fields import PhysicalParams, SimState
@@ -127,11 +127,18 @@ def execute_run(
     """Run a configured simulation to t_end, writing all outputs.
 
     CflError / SimulationDiverged propagate to the caller after the abort
-    diagnostics and the last good checkpoint are written.
+    diagnostics and the last good checkpoint are written; ConfigError is
+    raised when the output directory cannot be created.
     """
     p = params if params is not None else config.params
     out_dir = config.output.directory
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out_dir} ({exc.strerror})",
+            key="output.dir",
+        ) from None
     csv_path = out_dir / "diagnostics.csv"
     checkpoint_path = out_dir / "checkpoint.bin"
     report_path = out_dir / "report.txt"

@@ -18,11 +18,15 @@ from micropolar.checkpoint import read_checkpoint, write_checkpoint
 from micropolar.cli import main
 from micropolar.config import parse_config
 from micropolar.diagnostics import detect_t0, fit_decay
-from micropolar.dynamics import StepperConfig, energy_power, evolve, make_initial
-from micropolar.norms import l2
-from micropolar.quadrature import corrected_trapezoid
+from micropolar.dynamics import make_initial
 from micropolar.runio import execute_run
-from micropolar.verify import suite_duhamel, suite_lemma2, suite_ops
+from micropolar.verify import (
+    balance_residuals,
+    frozen_u_series,
+    suite_duhamel,
+    suite_lemma2,
+    suite_ops,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHI_NAMES = {0.0: "chi00", 0.1: "chi01", 0.5: "chi05"}
@@ -76,18 +80,9 @@ def test_criterion_2_energy_inequality(bundled):
     # balance residual convergence on the bundled chi=0.1 setup
     config, _ = bundled[0.1]
     state0 = make_initial(config.ic, config.grid)
-    e0 = l2(state0.u) ** 2 + l2(state0.w) ** 2
-    residuals = []
-    for divisor in (1, 2, 4):
-        dt = config.stepper.dt / divisor
-        cfg = StepperConfig(dt=dt, t_end=1.2)
-        powers = []
-        cur = state0
-        for _, cur, stepper in evolve(cur, config.params, cfg):
-            powers.append(stepper.last_power)
-        powers.append(energy_power(cur, config.params))
-        e_end = l2(cur.u) ** 2 + l2(cur.w) ** 2
-        residuals.append(abs(e_end - e0 - corrected_trapezoid(powers, dt)) / e0)
+    residuals = balance_residuals(
+        state0, config.params, dt=config.stepper.dt, t_end=1.2
+    )
     ratio = residuals[0] / residuals[1]
     balance_ok = (
         residuals[0] <= 1e-8 and residuals[2] <= 1e-10 and 12.0 <= ratio <= 20.0
@@ -163,29 +158,11 @@ def test_criterion_6_decay_surrogates(bundled):
     ok = ok and separation >= 10.0
     details.append(f"sqrt(t)||w|| separation = {separation:.1f}x (need >= 10)")
 
-    # frozen-u linear test at the bundled scale: with u = 0 a step is the
-    # stepper's exact linear w propagator
+    # frozen-u linear test at the bundled scale
     config, _ = bundled[0.5]
     chi = config.params.chi
-    from micropolar.diagnostics import RunAccumulator
-    from micropolar.dynamics import Stepper
-    from micropolar.fields import SimState, SpectralVectorField
-
     w0 = make_initial(config.ic, config.grid).w
-    zeros = SpectralVectorField(
-        config.grid, np.zeros((3,) + config.grid.shape, dtype=np.complex128)
-    )
-    state = SimState(0.0, zeros, w0)
-    dt = 0.05
-    stepper = Stepper(config.grid, config.params, StepperConfig(dt=dt, t_end=2.0))
-    acc = RunAccumulator(config.params, dt)
-    acc.push(state)
-    series = [acc.record(state)]
-    for j in range(1, 41):
-        w = stepper._apply_w(state.w.data, half=False)
-        state = SimState(j * dt, zeros, SpectralVectorField(config.grid, w))
-        acc.push(state)
-        series.append(acc.record(state))
+    series = frozen_u_series(w0, config.params, dt=0.05, t_end=2.0)
     fit = fit_decay(series, (0.0, 2.0))
     rate_ok = fit.w_exp_rate >= 2.0 * chi * (1.0 - 1e-3)
     ok = ok and rate_ok

@@ -80,6 +80,20 @@ def test_parse_missing_required():
         parse_config_text("grid.n = 8\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_parse_rejects_non_finite(tmp_path, value):
+    text = small_config_text(tmp_path, t_end=value)
+    with pytest.raises(ConfigError, match=r"line 13.*stepper.t_end.*finite"):
+        parse_config_text(text)
+
+
+def test_cli_non_finite_t_end_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, small_config_text(tmp_path / "out", t_end="inf"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "t_end" in err[0]
+
+
 def test_parse_semantic_errors(tmp_path):
     text = small_config_text(tmp_path, chi=-0.5)
     with pytest.raises(ConfigError, match="chi"):
@@ -265,19 +279,26 @@ def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
 
-@pytest.mark.parametrize("case", ["config_is_dir", "config_not_text", "checkpoint_is_dir"])
+@pytest.mark.parametrize(
+    "case", ["config_is_dir", "config_not_text", "checkpoint_is_dir", "output_dir_is_file"]
+)
 def test_cli_bad_path_exit_2(tmp_path, capsys, case):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"grid.n = 8\n\xff\n")
     chi01 = Path(__file__).resolve().parent.parent / "configs" / "chi01.cfg"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
     argv = {
         "config_is_dir": ["run", str(tmp_path)],
         "config_not_text": ["run", str(bad)],
         "checkpoint_is_dir": ["resume", str(tmp_path), str(chi01)],
+        "output_dir_is_file": ["run", str(write_config(tmp_path, small_config_text(taken)))],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    if case == "output_dir_is_file":
+        assert str(taken) in err[0]
 
 
 def test_cli_runtime_abort_exit_3(tmp_path, capsys):
@@ -370,7 +391,6 @@ def test_console_script_entry_point(tmp_path):
         text=True,
         env={
             "PATH": "/usr/bin:/bin",
-            "MICROPOLAR_THREADS": "1",
             "PYTHONPATH": os.pathsep.join(import_path),
         },
     )

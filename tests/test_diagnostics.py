@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from micropolar.diagnostics import (
-    RunAccumulator,
-    derivative_ledger,
-    detect_t0,
-    fit_decay,
-)
+from micropolar.diagnostics import RunAccumulator, detect_t0, fit_decay
 from micropolar.dynamics import (
     InitialCondition,
     Stepper,
@@ -19,18 +14,16 @@ from micropolar.dynamics import (
     make_initial,
 )
 from micropolar.fields import PhysicalParams, SimState, SpectralVectorField
+from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
-from micropolar.norms import l2_grad2
+from micropolar.norms import l2_grad, l2_grad2
+from micropolar.operators import epsilon_cross_integral
 from micropolar.semigroup import heat_apply
 
 from conftest import random_spectral_field, single_mode_field
 
 
 PARAMS = PhysicalParams(mu=0.3, gamma=0.25, chi=0.2)
-
-
-def zero_field(grid):
-    return SpectralVectorField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
 
 
 def random_state(grid, seed, t=0.0):
@@ -110,6 +103,19 @@ def test_record_rejects_non_monotone(grid8):
         acc.push(state)
 
 
+def test_record_rejects_state_not_pushed_last(grid8):
+    # record() reuses the norms push() computed, so it only takes that state
+    first, second = random_state(grid8, 7), random_state(grid8, 8, t=0.1)
+    acc = RunAccumulator(PARAMS, dt=0.1)
+    with pytest.raises(ValueError, match="pushed last"):
+        acc.record(first)
+    acc.push(first)
+    acc.push(second)
+    with pytest.raises(ValueError, match="pushed last"):
+        acc.record(first)
+    assert acc.record(second).t == 0.1
+
+
 def test_energy_inequality_on_nonlinear_run():
     # chi = 0 is the tight case: the inequality is an equality up to stepping
     # and quadrature error, which the accumulator keeps below 1e-8.
@@ -135,23 +141,14 @@ def test_energy_inequality_on_nonlinear_run():
 
 
 # ---------------------------------------------------------------------------
-# derivative ledger
-
-
-def test_derivative_ledger_zero_state(grid8):
-    state = SimState(0.0, zero_field(grid8), zero_field(grid8))
-    led = derivative_ledger(state, PARAMS)
-    assert led.cross_term == 0.0
-    assert led.sng_majorant == 0.0
-    assert led.l2_dpair == 0.0
+# gradient-energy estimate ingredients
 
 
 def test_cross_term_needs_both_fields(grid8):
     u = random_spectral_field(grid8, 31, solenoidal=True)
-    state_u = SimState(0.0, u, zero_field(grid8))
-    state_w = SimState(0.0, zero_field(grid8), random_spectral_field(grid8, 32))
-    assert derivative_ledger(state_u, PARAMS).cross_term == 0.0
-    assert derivative_ledger(state_w, PARAMS).cross_term == 0.0
+    w = random_spectral_field(grid8, 32)
+    assert epsilon_cross_integral(zero_field(grid8), u) == 0.0
+    assert epsilon_cross_integral(w, zero_field(grid8)) == 0.0
 
 
 def test_cross_term_young_bound(grid8):
@@ -159,9 +156,9 @@ def test_cross_term_young_bound(grid8):
     # for solenoidal u (then ||D curl u|| = ||D^2 u||).
     for seed in range(10):
         state = random_state(grid8, 900 + seed)
-        led = derivative_ledger(state, PARAMS)
-        bound = 2.0 * PARAMS.chi * (led.l2_dw**2 + led.l2_d2u**2)
-        assert led.cross_term <= bound * (1.0 + 1e-12)
+        cross = 4.0 * PARAMS.chi * epsilon_cross_integral(state.w, state.u)
+        bound = 2.0 * PARAMS.chi * (l2_grad(state.w) ** 2 + l2_grad2(state.u) ** 2)
+        assert cross <= bound * (1.0 + 1e-12)
 
 
 def test_gradient_energy_identity(grid8):
@@ -172,8 +169,8 @@ def test_gradient_energy_identity(grid8):
     # with NL the advective production and cross the Levi-Civita integral.
     # This pins the sign and normalization of the cross term.
     from micropolar import dynamics
-    from micropolar.norms import inner, l2_grad_div
-    from micropolar.operators import advect, epsilon_cross_integral, laplacian
+    from micropolar.norms import inner, l2
+    from micropolar.operators import advect, grad_div, laplacian
 
     for seed in range(5):
         state = random_state(grid8, 1200 + seed)
@@ -181,13 +178,12 @@ def test_gradient_energy_identity(grid8):
         lap_u, lap_w = laplacian(u), laplacian(w)
         u_t, w_t = dynamics.rhs(state, PARAMS)
         lhs = -2.0 * inner(u_t, lap_u) - 2.0 * inner(w_t, lap_w)
-        led = derivative_ledger(state, PARAMS)
         nl = 2.0 * inner(advect(u, u), lap_u) + 2.0 * inner(advect(u, w), lap_w)
         rhs = (
-            -2.0 * (PARAMS.mu + PARAMS.chi) * led.l2_d2u**2
-            - 2.0 * PARAMS.gamma * led.l2_d2w**2
-            - 2.0 * l2_grad_div(w) ** 2
-            - 4.0 * PARAMS.chi * led.l2_dw**2
+            -2.0 * (PARAMS.mu + PARAMS.chi) * l2_grad2(u) ** 2
+            - 2.0 * PARAMS.gamma * l2_grad2(w) ** 2
+            - 2.0 * l2(grad_div(w)) ** 2
+            - 4.0 * PARAMS.chi * l2_grad(w) ** 2
             + nl
             + 4.0 * PARAMS.chi * epsilon_cross_integral(w, u)
         )
@@ -211,19 +207,6 @@ def test_advective_production_under_majorant(grid8):
         rec = record_of(state, PARAMS)
         bound = 4.0 * rec.linf_pair * rec.l2_dpair * rec.l2_d2pair
         assert nl <= bound * (1.0 + 1e-12)
-
-
-def test_derivative_ledger_accumulates(grid8):
-    p = PhysicalParams(mu=0.3, gamma=0.25, chi=0.0)
-    u0 = single_mode_field(grid8, component=1, axis=0, index=1)
-    zeros = zero_field(grid8)
-    led = None
-    for t in np.linspace(0.0, 1.0, 21):
-        state = SimState(t, heat_apply(u0, p.mu, t), zeros)
-        led = derivative_ledger(state, p, led)
-    # int ||D^2 u||^2 = ||D^2 u_0||^2 (1 - e^{-2 mu t}) / (2 mu) for |k|=1
-    exact = l2_grad2(u0) ** 2 * (1.0 - np.exp(-2.0 * p.mu)) / (2.0 * p.mu)
-    assert led.int_d2u_sq == pytest.approx(exact, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

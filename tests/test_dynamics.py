@@ -18,6 +18,7 @@ from micropolar.dynamics import (
     step,
 )
 from micropolar.fields import PhysicalParams, SimState, SpectralVectorField
+from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
 from micropolar.operators import advect, curl, leray_project
@@ -27,10 +28,6 @@ from conftest import random_spectral_field, single_mode_field
 
 
 PARAMS = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
-
-
-def zero_field(grid):
-    return SpectralVectorField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
 
 
 def random_state(grid, seed, t=0.0, scale=1.0):

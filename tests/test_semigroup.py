@@ -11,8 +11,8 @@ from micropolar.dynamics import InitialCondition, StepperConfig, evolve, make_in
 from micropolar.fields import (
     PhysicalParams,
     SimState,
-    SpectralVectorField,
     to_spectral,
+    zero_spectral,
 )
 from micropolar.grid import make_grid
 from micropolar.norms import l2, l2_grad
@@ -217,9 +217,7 @@ def nonlinear_trajectories():
 def test_duhamel_exact_for_linear_single_mode(grid8):
     p = PhysicalParams(mu=0.3, gamma=0.25, chi=0.0)
     w0 = single_mode_field(grid8, component=1, axis=0, index=1)
-    zeros = SpectralVectorField(
-        grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128)
-    )
+    zeros = zero_spectral(grid8)
     traj = []
     for i, t in enumerate(np.linspace(0.0, 1.0, 6)):
         traj.append(SimState(t, zeros, heat_apply(w0, p.gamma, t)))
@@ -257,9 +255,7 @@ def test_duhamel_rejects_unordered(grid8, nonlinear_trajectories):
 
 
 def test_terms_zero_trajectory(grid8):
-    zeros = SpectralVectorField(
-        grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128)
-    )
+    zeros = zero_spectral(grid8)
     p = PhysicalParams(mu=0.3, gamma=0.3, chi=0.2)
     traj = [SimState(t, zeros, zeros) for t in (1.0, 1.5, 2.0)]
     ledger = duhamel_terms(traj, p)
