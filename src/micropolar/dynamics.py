@@ -18,7 +18,11 @@ from .fields import (
     ScalarField,
     SimState,
     SpectralVectorField,
+    expand_half,
+    fold_half,
+    forward_half,
     forward_transform,
+    inverse_half,
     inverse_transform,
     zero_spectral,
 )
@@ -26,7 +30,6 @@ from .grid import Grid
 from .norms import spectral_l2_sq
 from .operators import (
     advect_hat,
-    advect_phys,
     curl_hat,
     divergence_hat,
     grad_div_hat,
@@ -104,6 +107,42 @@ class InitialCondition:
 # right-hand side y_t = N(y) + L y for the pair y = (u, w)
 
 
+# row of u_i u_j among the six products with i <= j, as a symmetric table
+_UU_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def _minus_div(flux: np.ndarray, grid: Grid) -> np.ndarray:
+    """-div F on the half lattice, dealiased by the 2/3 rule.
+
+    flux[j, i] holds the coefficients of F_ij; component i of the result is
+    -i sum_j k_j F_ij.
+    """
+    out = grid.dkx * flux[0] + grid.dky * flux[1] + fold_half(grid.dkz) * flux[2]
+    out *= fold_half(grid.dealias_mask)
+    out *= -1j
+    return out
+
+
+def _explicit_w_hat(
+    u_data: np.ndarray,
+    w_data: np.ndarray,
+    grid: Grid,
+    chi: float,
+    u_phys: np.ndarray | None = None,
+) -> np.ndarray:
+    """N_w = -div(u (x) w) + chi curl u on the half lattice, mean mode 0.
+
+    u_phys optionally carries the physical velocity samples.
+    """
+    if u_phys is None:
+        u_phys = inverse_half(u_data)
+    n_w = _minus_div(forward_half(u_phys[:, None] * inverse_half(w_data)), grid)
+    if chi != 0.0:
+        n_w += chi * curl_hat(u_data, grid)
+    n_w[:, 0, 0, 0] = 0.0
+    return n_w
+
+
 def _explicit_hats(
     u_data: np.ndarray,
     w_data: np.ndarray,
@@ -111,32 +150,31 @@ def _explicit_hats(
     chi: float,
     u_phys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicitly-integrated terms N(y): advection plus the chi curl coupling.
+    """Explicitly-integrated terms N(y) on the half lattice, in flux form.
 
-    Returns (N_u, N_w) with N_u Leray-projected.  u_phys optionally carries
-    the physical velocity samples.  The advection is negated before the 2/3
-    rule is applied, which fixes the sign of the zeroed coefficients.
+    Returns (N_u, N_w) with N_u = -P div(u (x) u) + chi curl w and
+    N_w = -div(u (x) w) + chi curl u.  The stage states lie inside the 2/3
+    band and u is discretely solenoidal, so these equal the advective forms
+    -P (u.grad)u and -(u.grad)w.  u_phys optionally carries the physical
+    velocity samples.
     """
     if u_phys is None:
-        u_phys = inverse_transform(u_data)
-    adv_u, adv_w = advect_phys(u_phys, grid, u_data, w_data)
-    n_u = -forward_transform(adv_u)
-    n_w = -forward_transform(adv_w)
-    n_u *= grid.dealias_mask
-    n_w *= grid.dealias_mask
+        u_phys = inverse_half(u_data)
+    products = np.empty((6,) + grid.shape)
+    for row, (i, j) in enumerate(zip(*np.triu_indices(3))):
+        np.multiply(u_phys[i], u_phys[j], out=products[row])
+    n_u = _minus_div(forward_half(products)[_UU_ROWS], grid)
     if chi != 0.0:
         n_u += chi * curl_hat(w_data, grid)
-        n_w += chi * curl_hat(u_data, grid)
-    n_u = leray_hat(n_u, grid)
-    n_w[:, 0, 0, 0] = 0.0
-    return n_u, n_w
+    n_w = _explicit_w_hat(u_data, w_data, grid, chi, u_phys)
+    return leray_hat(n_u, grid), n_w
 
 
 def _linear_hats(
     u_data: np.ndarray, w_data: np.ndarray, grid: Grid, p: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """L y: (mu+chi) Lap u and gamma Lap w + grad(div w) - 2 chi w."""
-    dsq = grid.deriv_k_sq
+    dsq = fold_half(grid.deriv_k_sq)
     l_u = -(p.mu + p.chi) * dsq * u_data
     l_w = -p.gamma * dsq * w_data + grad_div_hat(w_data, grid) - 2.0 * p.chi * w_data
     return l_u, l_w
@@ -150,9 +188,11 @@ def _power(
     grid: Grid,
     p: PhysicalParams,
 ) -> float:
-    """Pair-energy production 2<y, N(y) + L y> given N(y) = (n_u, n_w)."""
+    """Pair-energy production 2<y, N(y) + L y> of half-lattice y, N(y)."""
     l_u, l_w = _linear_hats(u_data, w_data, grid, p)
-    total = np.vdot(u_data, n_u + l_u).real + np.vdot(w_data, n_w + l_w).real
+    weight = grid.hermitian_weight
+    total = np.vdot(weight * u_data, n_u + l_u).real
+    total += np.vdot(weight * w_data, n_w + l_w).real
     return 2.0 * grid.volume * float(total)
 
 
@@ -161,16 +201,19 @@ def rhs(
 ) -> tuple[SpectralVectorField, SpectralVectorField]:
     """(u_t, w_t) = N(y) + L y: the full right-hand side of both equations."""
     g = state.grid
-    u0, w0 = state.u.data, state.w.data
+    u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
     n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
     l_u, l_w = _linear_hats(u0, w0, g, p)
-    return SpectralVectorField(g, n_u + l_u), SpectralVectorField(g, n_w + l_w)
+    return (
+        SpectralVectorField(g, expand_half(n_u + l_u)),
+        SpectralVectorField(g, expand_half(n_w + l_w)),
+    )
 
 
 def energy_power(state: SimState, p: PhysicalParams) -> float:
     """Instantaneous pair-energy production 2<u_t, u> + 2<w_t, w>."""
     g = state.grid
-    u0, w0 = state.u.data, state.w.data
+    u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
     n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
     return _power(u0, w0, n_u, n_w, g, p)
 
@@ -194,8 +237,9 @@ def recover_pressure(state: SimState) -> ScalarField:
 class Stepper:
     """Advances a SimState by a fixed dt with precomputed propagators.
 
-    With u = 0 the explicit term vanishes and a step reduces to the exact
-    linear w propagator, _apply_w(w, half=False).
+    A step runs on the Hermitian half lattice: it folds u and w at entry
+    and expands the result once at exit.  propagate_w advances w alone
+    with u held at 0, where its equation is linear.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -205,7 +249,7 @@ class Stepper:
         self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
         dt = config.dt
-        dsq = grid.deriv_k_sq
+        dsq = fold_half(grid.deriv_k_sq)
         self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
         self._eu_full = self._eu_half**2
         gamma, chi = params.gamma, params.chi
@@ -216,15 +260,22 @@ class Stepper:
         self._bw_full = np.expm1(-dsq * dt)
 
     def _apply_w(self, data: np.ndarray, half: bool) -> np.ndarray:
+        """Exact linear w propagator over dt/2 or dt, on half-lattice data."""
         g = self.grid
-        factor = g.k_dot(data) * g.inv_deriv_k_sq
+        factor = g.k_dot(data) * fold_half(g.inv_deriv_k_sq)
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
         out = np.empty_like(data)
         out[0] = e * (data[0] + b * g.dkx * factor)
         out[1] = e * (data[1] + b * g.dky * factor)
-        out[2] = e * (data[2] + b * g.dkz * factor)
+        out[2] = e * (data[2] + b * fold_half(g.dkz) * factor)
         return out
+
+    def propagate_w(self, w: SpectralVectorField) -> SpectralVectorField:
+        """w after one dt with u held at 0: the exact linear w propagator."""
+        return SpectralVectorField(
+            self.grid, expand_half(self._apply_w(fold_half(w.data), half=False))
+        )
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
         vmax = float(np.abs(u_phys).max())
@@ -242,12 +293,14 @@ class Stepper:
         g, dt, chi = self.grid, self.config.dt, self.params.chi
         half = dt / 2.0
         eu_half, eu_full, apply_w = self._eu_half, self._eu_full, self._apply_w
-        u0, w0 = state.u.data, state.w.data
+        u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
 
-        u_phys = inverse_transform(u0)
+        u_phys = inverse_half(u0)
         self._check_cfl(u_phys)
         n1u, n1w = _explicit_hats(u0, w0, g, chi, u_phys)
         self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
+        eu_u0 = eu_full * u0
+        ew_w0 = apply_w(w0, False)
 
         u2 = leray_hat(eu_half * (u0 + half * n1u), g)
         w2 = apply_w(w0 + half * n1w, True)
@@ -257,21 +310,20 @@ class Stepper:
         w3 = apply_w(w0, True) + half * n2w
         n3u, n3w = _explicit_hats(u3, w3, g, chi)
 
-        u4 = leray_hat(eu_full * u0 + dt * eu_half * n3u, g)
-        w4 = apply_w(w0, False) + dt * apply_w(n3w, True)
+        u4 = leray_hat(eu_u0 + dt * eu_half * n3u, g)
+        w4 = ew_w0 + dt * apply_w(n3w, True)
         n4u, n4w = _explicit_hats(u4, w4, g, chi)
 
-        u_next = eu_full * u0 + (dt / 6.0) * (
+        u_next = eu_u0 + (dt / 6.0) * (
             eu_full * n1u + 2.0 * eu_half * (n2u + n3u) + n4u
         )
         u_next = leray_hat(u_next, g)
-        w_next = apply_w(w0, False) + (dt / 6.0) * (
+        w_next = ew_w0 + (dt / 6.0) * (
             apply_w(n1w, False) + 2.0 * apply_w(n2w + n3w, True) + n4w
         )
 
         w_next[:, 0, 0, 0] = 0.0
-        energy = spectral_l2_sq(u_next, g) + spectral_l2_sq(w_next, g)
-        if not np.isfinite(energy):
+        if not np.isfinite(spectral_l2_sq(u_next, g) + spectral_l2_sq(w_next, g)):
             raise SimulationDiverged(
                 f"non-finite fields after step at t={state.t:.6g}",
                 t=state.t,
@@ -279,8 +331,8 @@ class Stepper:
             )
         return SimState(
             state.t + dt if t_next is None else t_next,
-            SpectralVectorField(g, u_next),
-            SpectralVectorField(g, w_next),
+            SpectralVectorField(g, expand_half(u_next)),
+            SpectralVectorField(g, expand_half(w_next)),
         )
 
 

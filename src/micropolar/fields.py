@@ -99,6 +99,41 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return _fft.ifftn(coeffs, axes=axes, workers=1).real * n3
 
 
+def forward_half(values: np.ndarray) -> np.ndarray:
+    """Real-to-complex forward_transform onto the half lattice kz = 0..n/2."""
+    axes = tuple(range(values.ndim - 3, values.ndim))
+    return _fft.rfftn(values, axes=axes, workers=1, norm="forward")
+
+
+def inverse_half(coeffs: np.ndarray) -> np.ndarray:
+    """Physical samples of half-lattice coefficients (inverse of forward_half)."""
+    axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
+    return _fft.irfftn(coeffs, axes=axes, workers=1, norm="forward")
+
+
+def fold_half(data: np.ndarray) -> np.ndarray:
+    """The half lattice (..., n, n, n//2+1) of full coefficients, as a view."""
+    return data[..., : data.shape[-1] // 2 + 1]
+
+
+def expand_half(half: np.ndarray) -> np.ndarray:
+    """Full coefficients (..., n, n, n) from the half lattice by f(-k) = conj f(k).
+
+    The kz = 0 and kz = n/2 planes hold both k and -k; they are replaced by
+    their Hermitian part, so the result is exactly Hermitian.
+    """
+    n = half.shape[-2]
+    h = n // 2 + 1
+    neg = (-np.arange(n)) % n  # index of -k along an axis
+    full = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
+    full[..., 1 : h - 1] = half[..., 1 : h - 1]
+    full[..., h:] = np.conj(half[..., neg[:, None], neg, h - 2 : 0 : -1])
+    for kz in (0, h - 1):
+        plane = half[..., kz]
+        full[..., kz] = 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
+    return full
+
+
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
     """Transform a physical vector field to its Fourier coefficients."""
     return SpectralVectorField(f.grid, forward_transform(f.data))

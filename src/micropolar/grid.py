@@ -32,6 +32,12 @@ class Grid:
     inv_deriv_k_sq  1/deriv_k_sq with zeros where deriv_k_sq is 0
                     (Leray / Poisson kernel, consistent with the derivatives)
     dealias_mask    True where every |k_axis| <= (n/3)*(2*pi/L)
+    hermitian_weight  (n//2+1,) multiplicity of a kz index on the Hermitian
+                    half lattice (3, n, n, n//2+1): 1 on the kz = 0 and
+                    kz = n/2 planes, 2 elsewhere (each stands for kz and -kz)
+
+    The half lattice of a real field keeps kz = 0..n/2; its symbols are the
+    [..., :n//2+1] views of the arrays above.
     """
 
     n_per_axis: int
@@ -73,9 +79,14 @@ class Grid:
             keep1.reshape(n, 1, 1) & keep1.reshape(1, n, 1) & keep1.reshape(1, 1, n),
         )
 
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        set_(self, "hermitian_weight", weight)
+
         for name in (
             "k1", "dk1", "kx", "ky", "kz", "dkx", "dky", "dkz",
             "k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask",
+            "hermitian_weight",
         ):
             getattr(self, name).setflags(write=False)
 
@@ -99,8 +110,10 @@ class Grid:
         return (self.n_per_axis,) * 3
 
     def k_dot(self, data: np.ndarray) -> np.ndarray:
-        """k . f_hat of a (3,n,n,n) coefficient array (derivative wavenumbers)."""
-        return self.dkx * data[0] + self.dky * data[1] + self.dkz * data[2]
+        """k . f_hat of a full or half-lattice coefficient array (derivative
+        wavenumbers)."""
+        dkz = self.dkz[..., : data.shape[-1]]
+        return self.dkx * data[0] + self.dky * data[1] + dkz * data[2]
 
 
 def make_grid(n: int, box_length: float) -> Grid:

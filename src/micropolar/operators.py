@@ -47,7 +47,7 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence i k . f_hat of a (3,n,n,n) coefficient array."""
+    """Spectral divergence i k . f_hat of a full or half-lattice array."""
     return 1j * grid.k_dot(data)
 
 
@@ -68,8 +68,8 @@ def gradient(p: ScalarField) -> SpectralVectorField:
 
 
 def curl_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral curl i k x f_hat of a (3,n,n,n) coefficient array."""
-    kx, ky, kz = grid.dkx, grid.dky, grid.dkz
+    """Spectral curl i k x f_hat of a full or half-lattice coefficient array."""
+    kx, ky, kz = grid.dkx, grid.dky, grid.dkz[..., : data.shape[-1]]
     out = np.empty_like(data)
     out[0] = 1j * (ky * data[2] - kz * data[1])
     out[1] = 1j * (kz * data[0] - kx * data[2])
@@ -88,11 +88,12 @@ def laplacian(f: SpectralVectorField) -> SpectralVectorField:
 
 
 def grad_div_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """grad(div f) of a full or half-lattice coefficient array."""
     div = divergence_hat(data, grid)
     out = np.empty_like(data)
     out[0] = 1j * grid.dkx * div
     out[1] = 1j * grid.dky * div
-    out[2] = 1j * grid.dkz * div
+    out[2] = 1j * grid.dkz[..., : data.shape[-1]] * div
     return out
 
 
@@ -105,13 +106,14 @@ def leray_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Project raw coefficients onto divergence-free fields; k=0 mode to 0.
 
     Uses the derivative wavenumbers, so the kernel is exactly the span of the
-    implemented gradient operator.
+    implemented gradient operator.  Takes the full or the half lattice.
     """
-    factor = grid.k_dot(data) * grid.inv_deriv_k_sq
+    m = data.shape[-1]
+    factor = grid.k_dot(data) * grid.inv_deriv_k_sq[..., :m]
     out = np.empty_like(data)
     out[0] = data[0] - grid.dkx * factor
     out[1] = data[1] - grid.dky * factor
-    out[2] = data[2] - grid.dkz * factor
+    out[2] = data[2] - grid.dkz[..., :m] * factor
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -126,25 +128,14 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(f.grid, f.data * f.grid.dealias_mask)
 
 
-def advect_phys(v_phys: np.ndarray, grid: Grid, *fields: np.ndarray) -> list[np.ndarray]:
-    """Physical samples of (v . grad) f for each coefficient array f in fields.
-
-    v_phys holds the physical samples of v.  All fields share one sweep over
-    the derivative axes, with every derivative freed once it is used: fewer
-    large temporaries churn through the allocator than in one sweep per field.
-    """
-    outs = [np.zeros((3,) + grid.shape) for _ in fields]
-    for j, dk in enumerate((grid.dkx, grid.dky, grid.dkz)):
-        for out, f_data in zip(outs, fields):
-            df = inverse_transform(1j * dk * f_data)
-            df *= v_phys[j]
-            out += df
-    return outs
-
-
 def advect_hat(v_data: np.ndarray, f_data: np.ndarray, grid: Grid) -> np.ndarray:
     """(v . grad) f via pseudo-spectral products, dealiased by the 2/3 rule."""
-    (adv,) = advect_phys(inverse_transform(v_data), grid, f_data)
+    v_phys = inverse_transform(v_data)
+    adv = np.zeros((3,) + grid.shape)
+    for j, dk in enumerate((grid.dkx, grid.dky, grid.dkz)):
+        df = inverse_transform(1j * dk * f_data)
+        df *= v_phys[j]
+        adv += df
     result = forward_transform(adv)
     result *= grid.dealias_mask
     return result

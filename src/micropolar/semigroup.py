@@ -25,9 +25,12 @@ from .fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
+    expand_half,
+    fold_half,
     forward_transform,
     inverse_transform,
 )
+from .dynamics import _explicit_w_hat
 from .grid import Grid
 from .norms import lr_phys, spectral_l2_sq
 from .operators import advect_hat, curl_hat, grad_div_hat
@@ -307,13 +310,13 @@ class DuhamelReconstruction:
 
 
 def _forcing_hat(state: SimState, p: PhysicalParams) -> np.ndarray:
-    """-(u.grad)w + grad(div w) + chi curl u, as raw coefficients."""
+    """-(u.grad)w + grad(div w) + chi curl u, as raw coefficients.
+
+    The stepper's explicit w term plus the grad-div part of its linear term.
+    """
     g = state.grid
-    out = -advect_hat(state.u.data, state.w.data, g)
-    out += grad_div_hat(state.w.data, g)
-    if p.chi != 0.0:
-        out += p.chi * curl_hat(state.u.data, g)
-    return out
+    u, w = fold_half(state.u.data), fold_half(state.w.data)
+    return expand_half(_explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g))
 
 
 def duhamel_reconstruct_w(

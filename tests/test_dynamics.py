@@ -21,7 +21,7 @@ from micropolar.fields import PhysicalParams, SimState, SpectralVectorField
 from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
-from micropolar.operators import advect, curl, leray_project
+from micropolar.operators import advect, curl, grad_div, laplacian, leray_project
 from micropolar.quadrature import corrected_trapezoid
 
 from conftest import random_spectral_field, single_mode_field
@@ -252,7 +252,7 @@ def test_discrete_energy_balance_fourth_order(grid16):
 
 def test_w_damping_bound_with_frozen_u(grid8):
     # With u frozen at zero and chi > 0, ||w(t)|| <= e^{-2 chi (t-s)} ||w(s)||.
-    # With u = 0 a step is the stepper's exact linear w propagator.
+    # With u held at 0, w follows the stepper's exact linear w propagator.
     p = PhysicalParams(mu=0.4, gamma=0.3, chi=0.35)
     w0 = random_spectral_field(grid8, seed=45)
     state = SimState(0.0, zero_field(grid8), w0)
@@ -260,12 +260,62 @@ def test_w_damping_bound_with_frozen_u(grid8):
     stepper = Stepper(grid8, p, StepperConfig(dt=dt, t_end=1.0))
     prev_t, prev_norm = 0.0, l2(state.w)
     for j in range(1, 21):
-        w = stepper._apply_w(state.w.data, half=False)
-        state = SimState(j * dt, state.u, SpectralVectorField(grid8, w))
+        state = SimState(j * dt, state.u, stepper.propagate_w(state.w))
         norm = l2(state.w)
         bound = np.exp(-2.0 * p.chi * (state.t - prev_t)) * prev_norm
         assert norm <= bound * (1.0 + 1e-9)
         prev_t, prev_norm = state.t, norm
+
+
+# ---------------------------------------------------------------------------
+# half-lattice stepper against full-lattice oracles
+
+
+def full_lattice_rhs(state, p):
+    """(u_t, w_t) in advective form from the full-lattice operators."""
+    u, w = state.u, state.w
+    n_u = SpectralVectorField(u.grid, -advect(u, u).data + p.chi * curl(w).data)
+    u_t = leray_project(n_u).data + (p.mu + p.chi) * laplacian(u).data
+    w_t = (
+        -advect(u, w).data
+        + p.chi * curl(u).data
+        + p.gamma * laplacian(w).data
+        + grad_div(w).data
+        - 2.0 * p.chi * w.data
+    )
+    return u_t, w_t
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rhs_matches_full_lattice_oracle(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    p = PhysicalParams(mu=0.4, gamma=0.3, chi=0.7)
+    for seed in range(3):
+        state = random_state(grid, seed=800 + seed)
+        for got, want in zip(rhs(state, p), full_lattice_rhs(state, p)):
+            assert np.abs(got.data - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_step_output_exactly_hermitian(grid16):
+    state = random_state(grid16, seed=48, scale=0.1)
+    out = Stepper(grid16, PARAMS, StepperConfig(dt=0.02, t_end=1.0)).step(state)
+    neg = (-np.arange(grid16.n_per_axis)) % grid16.n_per_axis
+    for data in (out.u.data, out.w.data):
+        mirrored = data[:, neg][:, :, neg][:, :, :, neg]
+        assert np.array_equal(mirrored, np.conj(data))
+
+
+def test_step_power_matches_energy_power(grid16):
+    state = random_state(grid16, seed=49, scale=0.1)
+    stepper = Stepper(grid16, PARAMS, StepperConfig(dt=0.02, t_end=1.0))
+    stepper.step(state)
+    assert stepper.last_power == pytest.approx(energy_power(state, PARAMS), rel=1e-13)
+    u_t, w_t = full_lattice_rhs(state, PARAMS)
+    full = 2.0 * (
+        inner(state.u, SpectralVectorField(grid16, u_t))
+        + inner(state.w, SpectralVectorField(grid16, w_t))
+    )
+    assert stepper.last_power == pytest.approx(full, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ from micropolar.fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
+    expand_half,
+    fold_half,
+    forward_half,
+    inverse_half,
     to_real,
     to_spectral,
 )
 from micropolar.grid import make_grid
-from micropolar.norms import l2, lr_phys
+from micropolar.norms import l2, l2_grad, lr_phys
 
 from conftest import random_real_field, random_spectral_field, single_mode_field
 
@@ -133,6 +137,37 @@ def test_hermitian_symmetry(grid8):
     idx = (-np.arange(n)) % n
     mirrored = spec.data[:, idx][:, :, idx][:, :, :, idx]
     assert np.abs(spec.data - np.conj(mirrored)).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Hermitian half lattice
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_half_lattice_transforms_and_expand(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    f = random_real_field(grid, seed=11)
+    full = to_spectral(f).data
+    half = forward_half(f.data)
+    assert half.shape == (3, n, n, n // 2 + 1)
+    assert np.abs(half - fold_half(full)).max() <= 1e-15
+    assert np.abs(inverse_half(half) - f.data).max() <= 1e-13 * np.abs(f.data).max()
+    assert np.abs(expand_half(half) - full).max() <= 1e-15
+    assert np.shares_memory(fold_half(full), full)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_hermitian_weight_half_lattice_sums(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    f = to_spectral(random_real_field(grid, seed=12))
+    half = fold_half(f.data)
+    weight = grid.hermitian_weight
+    assert weight.shape == (n // 2 + 1,)
+    sq = np.abs(half) ** 2
+    l2_sq = grid.volume * np.sum(weight * sq)
+    grad_sq = grid.volume * np.sum(weight * fold_half(grid.deriv_k_sq) * sq)
+    assert l2_sq == pytest.approx(l2(f) ** 2, rel=1e-13)
+    assert grad_sq == pytest.approx(l2_grad(f) ** 2, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
