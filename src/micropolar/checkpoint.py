@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, SpectralVectorField
+from .fields import PhysicalParams, SimState, SpectralVectorField, fold_band
 from .grid import make_grid
 
 MAGIC = b"MPOLAR01"
@@ -86,6 +86,7 @@ def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:
     if not np.isfinite(data.view(np.float64)).all():
         raise CheckpointError(f"{path}: non-finite payload")
     try:
+        fold_band(data, grid)  # the stepper takes only states inside the band
         params = PhysicalParams(mu=mu, gamma=gamma, chi=chi)
         state = SimState(
             t,

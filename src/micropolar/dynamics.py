@@ -18,11 +18,11 @@ from .fields import (
     ScalarField,
     SimState,
     SpectralVectorField,
-    expand_half,
-    fold_half,
-    forward_half,
+    expand_band,
+    fold_band,
+    forward_band,
     forward_transform,
-    inverse_half,
+    inverse_band,
     inverse_transform,
     zero_spectral,
 )
@@ -111,18 +111,6 @@ class InitialCondition:
 _UU_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _minus_div(flux: np.ndarray, grid: Grid) -> np.ndarray:
-    """-div F on the half lattice, dealiased by the 2/3 rule.
-
-    flux[j, i] holds the coefficients of F_ij; component i of the result is
-    -i sum_j k_j F_ij.
-    """
-    out = grid.dkx * flux[0] + grid.dky * flux[1] + fold_half(grid.dkz) * flux[2]
-    out *= fold_half(grid.dealias_mask)
-    out *= -1j
-    return out
-
-
 def _explicit_w_hat(
     u_data: np.ndarray,
     w_data: np.ndarray,
@@ -130,13 +118,17 @@ def _explicit_w_hat(
     chi: float,
     u_phys: np.ndarray | None = None,
 ) -> np.ndarray:
-    """N_w = -div(u (x) w) + chi curl u on the half lattice, mean mode 0.
+    """N_w = -div(u (x) w) + chi curl u on the band, mean mode 0.
 
     u_phys optionally carries the physical velocity samples.
     """
     if u_phys is None:
-        u_phys = inverse_half(u_data)
-    n_w = _minus_div(forward_half(u_phys[:, None] * inverse_half(w_data)), grid)
+        u_phys = inverse_band(u_data, grid)
+    w_phys = inverse_band(w_data, grid)
+    # row j of the flux u (x) w is u_j w; one row at a time keeps the
+    # transients small (fresh large arrays cost page faults every stage)
+    flux = np.stack([forward_band(u_j * w_phys, grid) for u_j in u_phys])
+    n_w = -divergence_hat(flux, grid)
     if chi != 0.0:
         n_w += chi * curl_hat(u_data, grid)
     n_w[:, 0, 0, 0] = 0.0
@@ -150,7 +142,7 @@ def _explicit_hats(
     chi: float,
     u_phys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicitly-integrated terms N(y) on the half lattice, in flux form.
+    """Explicitly-integrated terms N(y) on the band, in flux form.
 
     Returns (N_u, N_w) with N_u = -P div(u (x) u) + chi curl w and
     N_w = -div(u (x) w) + chi curl u.  The stage states lie inside the 2/3
@@ -159,14 +151,15 @@ def _explicit_hats(
     velocity samples.
     """
     if u_phys is None:
-        u_phys = inverse_half(u_data)
+        u_phys = inverse_band(u_data, grid)
+    # N_w first, so that its transients are freed before products is built
+    n_w = _explicit_w_hat(u_data, w_data, grid, chi, u_phys)
     products = np.empty((6,) + grid.shape)
     for row, (i, j) in enumerate(zip(*np.triu_indices(3))):
         np.multiply(u_phys[i], u_phys[j], out=products[row])
-    n_u = _minus_div(forward_half(products)[_UU_ROWS], grid)
+    n_u = -divergence_hat(forward_band(products, grid)[_UU_ROWS], grid)
     if chi != 0.0:
         n_u += chi * curl_hat(w_data, grid)
-    n_w = _explicit_w_hat(u_data, w_data, grid, chi, u_phys)
     return leray_hat(n_u, grid), n_w
 
 
@@ -174,7 +167,7 @@ def _linear_hats(
     u_data: np.ndarray, w_data: np.ndarray, grid: Grid, p: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """L y: (mu+chi) Lap u and gamma Lap w + grad(div w) - 2 chi w."""
-    dsq = fold_half(grid.deriv_k_sq)
+    dsq = grid.band.deriv_k_sq
     l_u = -(p.mu + p.chi) * dsq * u_data
     l_w = -p.gamma * dsq * w_data + grad_div_hat(w_data, grid) - 2.0 * p.chi * w_data
     return l_u, l_w
@@ -188,12 +181,11 @@ def _power(
     grid: Grid,
     p: PhysicalParams,
 ) -> float:
-    """Pair-energy production 2<y, N(y) + L y> of half-lattice y, N(y)."""
+    """Pair-energy production 2<y, N(y) + L y> of band y, N(y)."""
     l_u, l_w = _linear_hats(u_data, w_data, grid, p)
-    weight = grid.hermitian_weight
-    total = np.vdot(weight * u_data, n_u + l_u).real
-    total += np.vdot(weight * w_data, n_w + l_w).real
-    return 2.0 * grid.volume * float(total)
+    # elementwise, not np.vdot: a threaded BLAS dot can stall for milliseconds
+    flow = np.conj(u_data) * (n_u + l_u) + np.conj(w_data) * (n_w + l_w)
+    return 2.0 * grid.volume * float(np.sum(grid.band.weight * flow.real))
 
 
 def rhs(
@@ -201,19 +193,19 @@ def rhs(
 ) -> tuple[SpectralVectorField, SpectralVectorField]:
     """(u_t, w_t) = N(y) + L y: the full right-hand side of both equations."""
     g = state.grid
-    u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
+    u0, w0 = fold_band(state.u.data, g), fold_band(state.w.data, g)
     n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
     l_u, l_w = _linear_hats(u0, w0, g, p)
     return (
-        SpectralVectorField(g, expand_half(n_u + l_u)),
-        SpectralVectorField(g, expand_half(n_w + l_w)),
+        SpectralVectorField(g, expand_band(n_u + l_u, g)),
+        SpectralVectorField(g, expand_band(n_w + l_w, g)),
     )
 
 
 def energy_power(state: SimState, p: PhysicalParams) -> float:
     """Instantaneous pair-energy production 2<u_t, u> + 2<w_t, w>."""
     g = state.grid
-    u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
+    u0, w0 = fold_band(state.u.data, g), fold_band(state.w.data, g)
     n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
     return _power(u0, w0, n_u, n_w, g, p)
 
@@ -237,9 +229,9 @@ def recover_pressure(state: SimState) -> ScalarField:
 class Stepper:
     """Advances a SimState by a fixed dt with precomputed propagators.
 
-    A step runs on the Hermitian half lattice: it folds u and w at entry
-    and expands the result once at exit.  propagate_w advances w alone
-    with u held at 0, where its equation is linear.
+    A step runs on the 2/3-rule band (Grid.band): it folds u and w at entry
+    (ValueError outside the band) and expands the result once at exit.
+    propagate_w advances w alone with u held at 0, where it is linear.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -249,7 +241,7 @@ class Stepper:
         self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
         dt = config.dt
-        dsq = fold_half(grid.deriv_k_sq)
+        dsq = grid.band.deriv_k_sq
         self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
         self._eu_full = self._eu_half**2
         gamma, chi = params.gamma, params.chi
@@ -260,21 +252,22 @@ class Stepper:
         self._bw_full = np.expm1(-dsq * dt)
 
     def _apply_w(self, data: np.ndarray, half: bool) -> np.ndarray:
-        """Exact linear w propagator over dt/2 or dt, on half-lattice data."""
-        g = self.grid
-        factor = g.k_dot(data) * fold_half(g.inv_deriv_k_sq)
+        """Exact linear w propagator over dt/2 or dt, on band data."""
+        band = self.grid.band
+        factor = self.grid.k_dot(data) * band.inv_deriv_k_sq
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
         out = np.empty_like(data)
-        out[0] = e * (data[0] + b * g.dkx * factor)
-        out[1] = e * (data[1] + b * g.dky * factor)
-        out[2] = e * (data[2] + b * fold_half(g.dkz) * factor)
+        out[0] = e * (data[0] + b * band.dkx * factor)
+        out[1] = e * (data[1] + b * band.dky * factor)
+        out[2] = e * (data[2] + b * band.dkz * factor)
         return out
 
     def propagate_w(self, w: SpectralVectorField) -> SpectralVectorField:
         """w after one dt with u held at 0: the exact linear w propagator."""
+        g = self.grid
         return SpectralVectorField(
-            self.grid, expand_half(self._apply_w(fold_half(w.data), half=False))
+            g, expand_band(self._apply_w(fold_band(w.data, g), half=False), g)
         )
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
@@ -293,9 +286,9 @@ class Stepper:
         g, dt, chi = self.grid, self.config.dt, self.params.chi
         half = dt / 2.0
         eu_half, eu_full, apply_w = self._eu_half, self._eu_full, self._apply_w
-        u0, w0 = fold_half(state.u.data), fold_half(state.w.data)
+        u0, w0 = fold_band(state.u.data, g), fold_band(state.w.data, g)
 
-        u_phys = inverse_half(u0)
+        u_phys = inverse_band(u0, g)
         self._check_cfl(u_phys)
         n1u, n1w = _explicit_hats(u0, w0, g, chi, u_phys)
         self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
@@ -331,8 +324,8 @@ class Stepper:
             )
         return SimState(
             state.t + dt if t_next is None else t_next,
-            SpectralVectorField(g, expand_half(u_next)),
-            SpectralVectorField(g, expand_half(w_next)),
+            SpectralVectorField(g, expand_band(u_next, g)),
+            SpectralVectorField(g, expand_band(w_next, g)),
         )
 
 

@@ -99,38 +99,56 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return _fft.ifftn(coeffs, axes=axes, workers=1).real * n3
 
 
-def forward_half(values: np.ndarray) -> np.ndarray:
-    """Real-to-complex forward_transform onto the half lattice kz = 0..n/2."""
-    axes = tuple(range(values.ndim - 3, values.ndim))
-    return _fft.rfftn(values, axes=axes, workers=1, norm="forward")
-
-
-def inverse_half(coeffs: np.ndarray) -> np.ndarray:
-    """Physical samples of half-lattice coefficients (inverse of forward_half)."""
-    axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
-    return _fft.irfftn(coeffs, axes=axes, workers=1, norm="forward")
-
-
-def fold_half(data: np.ndarray) -> np.ndarray:
-    """The half lattice (..., n, n, n//2+1) of full coefficients, as a view."""
-    return data[..., : data.shape[-1] // 2 + 1]
-
-
-def expand_half(half: np.ndarray) -> np.ndarray:
-    """Full coefficients (..., n, n, n) from the half lattice by f(-k) = conj f(k).
-
-    The kz = 0 and kz = n/2 planes hold both k and -k; they are replaced by
-    their Hermitian part, so the result is exactly Hermitian.
+def forward_band(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """forward_transform of real samples (..., n, n, n), pruned to the band:
+    rfft along z, fft along y, fft along x, each keeping only the band's lines.
     """
-    n = half.shape[-2]
-    h = n // 2 + 1
-    neg = (-np.arange(n)) % n  # index of -k along an axis
-    full = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
-    full[..., 1 : h - 1] = half[..., 1 : h - 1]
-    full[..., h:] = np.conj(half[..., neg[:, None], neg, h - 2 : 0 : -1])
-    for kz in (0, h - 1):
-        plane = half[..., kz]
-        full[..., kz] = 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
+    band, kz = grid.band, slice(0, grid.band.cutoff + 1)
+    out = np.empty(values.shape[:-1] + (kz.stop,), dtype=np.complex128)
+    for field in np.ndindex(values.shape[:-3]):  # no full-size rfft output held
+        out[field] = _fft.rfft(values[field], axis=-1, workers=1)[..., kz]
+    out = _fft.fft(out, axis=-2, workers=1, overwrite_x=True)[..., band.rows, :]
+    out = _fft.fft(out, axis=-3, workers=1, overwrite_x=True)[..., band.rows, :, :]
+    out *= 1.0 / grid.n_per_axis**3
+    return out
+
+
+def inverse_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Physical samples (..., n, n, n) of band coefficients: forward_band
+    mirrored, zero-padding each axis before its transform."""
+    n, rows = grid.n_per_axis, grid.band.rows
+    x = np.zeros(coeffs.shape[:-3] + (n,) + coeffs.shape[-2:], dtype=np.complex128)
+    x[..., rows, :, :] = coeffs
+    y = np.zeros(x.shape[:-2] + (n, x.shape[-1]), dtype=np.complex128)
+    y[..., rows, :] = _fft.ifft(x, axis=-3, workers=1, norm="forward", overwrite_x=True)
+    y = _fft.ifft(y, axis=-2, workers=1, norm="forward", overwrite_x=True)
+    return _fft.irfft(y, n=n, axis=-1, workers=1, norm="forward")
+
+
+def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """The band (..., 2K+1, 2K+1, K+1) of full coefficients, as a copy;
+    ValueError if any coefficient outside the 2/3 band is nonzero."""
+    k, rows = grid.band.cutoff, grid.band.rows
+    out = slice(k + 1, grid.n_per_axis - k)
+    if data[..., out].any() or data[..., out, :].any() or data[..., out, :, :].any():
+        raise ValueError("coefficients outside the 2/3 band")
+    return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
+
+
+def expand_band(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full coefficients (..., n, n, n) of the band, by f(-k) = conj f(k).
+
+    The kz = 0 plane holds both k and -k; it is replaced by its Hermitian
+    part, so the result is exactly Hermitian.
+    """
+    n, k, rows = grid.n_per_axis, grid.band.cutoff, grid.band.rows
+    neg = (-np.arange(2 * k + 1)) % (2 * k + 1)  # band row of -k
+    full = np.zeros(band.shape[:-3] + (n, n, n), dtype=band.dtype)
+    xy = (Ellipsis, rows[:, None], rows)
+    full[xy + (slice(1, k + 1),)] = band[..., 1:]
+    full[xy + (slice(n - k, n),)] = np.conj(band[..., neg[:, None], neg, k:0:-1])
+    plane = band[..., 0]
+    full[xy + (0,)] = 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
     return full
 
 

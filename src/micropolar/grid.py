@@ -17,6 +17,31 @@ def axis_wavenumbers(n: int, box_length: float) -> np.ndarray:
     return (2.0 * np.pi / box_length) * m.astype(np.float64)
 
 
+class Band:
+    """The coefficients the 2/3 rule keeps with kz >= 0, shape (2K+1, 2K+1, K+1).
+
+    f(-k) = conj f(k) gives the rest.  K (cutoff) = n//3 is the largest
+    index kept, so there is no Nyquist plane.  Axes are in FFT order:
+    0..K then n-K..n-1 on x and y (rows), 0..K on z.  dkx, dky, dkz,
+    deriv_k_sq and inv_deriv_k_sq are the Grid symbols on the band; weight
+    is the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
+    """
+
+    def __init__(self, grid: "Grid"):
+        n = grid.n_per_axis
+        k = self.cutoff = int(np.count_nonzero(grid.dealias_mask[:, 0, 0])) // 2
+        rows = self.rows = np.r_[0 : k + 1, n - k : n]
+        cube = np.ix_(rows, rows, np.arange(k + 1))
+        self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
+        self.dkz = grid.dkz[..., : k + 1]
+        self.deriv_k_sq = grid.deriv_k_sq[cube]
+        self.inv_deriv_k_sq = grid.inv_deriv_k_sq[cube]
+        self.weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=True)
 class Grid:
     """Cubic periodic box with n_per_axis points per axis and period box_length.
@@ -32,12 +57,8 @@ class Grid:
     inv_deriv_k_sq  1/deriv_k_sq with zeros where deriv_k_sq is 0
                     (Leray / Poisson kernel, consistent with the derivatives)
     dealias_mask    True where every |k_axis| <= (n/3)*(2*pi/L)
-    hermitian_weight  (n//2+1,) multiplicity of a kz index on the Hermitian
-                    half lattice (3, n, n, n//2+1): 1 on the kz = 0 and
-                    kz = n/2 planes, 2 elsewhere (each stands for kz and -kz)
-
-    The half lattice of a real field keeps kz = 0..n/2; its symbols are the
-    [..., :n//2+1] views of the arrays above.
+    band            these symbols on the compact 2/3-rule band (Band); operators
+                    pick the full or the band ones by the data's shape (lattice)
     """
 
     n_per_axis: int
@@ -79,16 +100,12 @@ class Grid:
             keep1.reshape(n, 1, 1) & keep1.reshape(1, n, 1) & keep1.reshape(1, 1, n),
         )
 
-        weight = np.full(n // 2 + 1, 2.0)
-        weight[[0, -1]] = 1.0
-        set_(self, "hermitian_weight", weight)
-
         for name in (
             "k1", "dk1", "kx", "ky", "kz", "dkx", "dky", "dkz",
             "k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask",
-            "hermitian_weight",
         ):
             getattr(self, name).setflags(write=False)
+        set_(self, "band", Band(self))
 
     @property
     def spacing(self) -> float:
@@ -109,11 +126,15 @@ class Grid:
     def shape(self) -> tuple[int, int, int]:
         return (self.n_per_axis,) * 3
 
+    def lattice(self, data: np.ndarray) -> "Grid | Band":
+        """The holder of the symbols matching data: the band or the full grid."""
+        return self.band if data.shape[-3:] == self.band.deriv_k_sq.shape else self
+
     def k_dot(self, data: np.ndarray) -> np.ndarray:
-        """k . f_hat of a full or half-lattice coefficient array (derivative
+        """k . f_hat of a full or band coefficient array (derivative
         wavenumbers)."""
-        dkz = self.dkz[..., : data.shape[-1]]
-        return self.dkx * data[0] + self.dky * data[1] + dkz * data[2]
+        s = self.lattice(data)
+        return s.dkx * data[0] + s.dky * data[1] + s.dkz * data[2]
 
 
 def make_grid(n: int, box_length: float) -> Grid:

@@ -47,7 +47,7 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence i k . f_hat of a full or half-lattice array."""
+    """Spectral divergence i k . f_hat of a full or band coefficient array."""
     return 1j * grid.k_dot(data)
 
 
@@ -68,8 +68,9 @@ def gradient(p: ScalarField) -> SpectralVectorField:
 
 
 def curl_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral curl i k x f_hat of a full or half-lattice coefficient array."""
-    kx, ky, kz = grid.dkx, grid.dky, grid.dkz[..., : data.shape[-1]]
+    """Spectral curl i k x f_hat of a full or band coefficient array."""
+    s = grid.lattice(data)
+    kx, ky, kz = s.dkx, s.dky, s.dkz
     out = np.empty_like(data)
     out[0] = 1j * (ky * data[2] - kz * data[1])
     out[1] = 1j * (kz * data[0] - kx * data[2])
@@ -88,12 +89,13 @@ def laplacian(f: SpectralVectorField) -> SpectralVectorField:
 
 
 def grad_div_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """grad(div f) of a full or half-lattice coefficient array."""
+    """grad(div f) of a full or band coefficient array."""
+    s = grid.lattice(data)
     div = divergence_hat(data, grid)
     out = np.empty_like(data)
-    out[0] = 1j * grid.dkx * div
-    out[1] = 1j * grid.dky * div
-    out[2] = 1j * grid.dkz[..., : data.shape[-1]] * div
+    out[0] = 1j * s.dkx * div
+    out[1] = 1j * s.dky * div
+    out[2] = 1j * s.dkz * div
     return out
 
 
@@ -106,14 +108,14 @@ def leray_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Project raw coefficients onto divergence-free fields; k=0 mode to 0.
 
     Uses the derivative wavenumbers, so the kernel is exactly the span of the
-    implemented gradient operator.  Takes the full or the half lattice.
+    implemented gradient operator.  Takes the full lattice or the band.
     """
-    m = data.shape[-1]
-    factor = grid.k_dot(data) * grid.inv_deriv_k_sq[..., :m]
+    s = grid.lattice(data)
+    factor = grid.k_dot(data) * s.inv_deriv_k_sq
     out = np.empty_like(data)
-    out[0] = data[0] - grid.dkx * factor
-    out[1] = data[1] - grid.dky * factor
-    out[2] = data[2] - grid.dkz[..., :m] * factor
+    out[0] = data[0] - s.dkx * factor
+    out[1] = data[1] - s.dky * factor
+    out[2] = data[2] - s.dkz * factor
     out[:, 0, 0, 0] = 0.0
     return out
 

@@ -25,8 +25,8 @@ from .fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
-    expand_half,
-    fold_half,
+    expand_band,
+    fold_band,
     forward_transform,
     inverse_transform,
 )
@@ -315,8 +315,8 @@ def _forcing_hat(state: SimState, p: PhysicalParams) -> np.ndarray:
     The stepper's explicit w term plus the grad-div part of its linear term.
     """
     g = state.grid
-    u, w = fold_half(state.u.data), fold_half(state.w.data)
-    return expand_half(_explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g))
+    u, w = fold_band(state.u.data, g), fold_band(state.w.data, g)
+    return expand_band(_explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g), g)
 
 
 def duhamel_reconstruct_w(

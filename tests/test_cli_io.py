@@ -19,9 +19,10 @@ from micropolar.checkpoint import (
 from micropolar.cli import main
 from micropolar.config import ConfigError, parse_config_text
 from micropolar.fields import PhysicalParams, SimState
+from micropolar.grid import make_grid
 from micropolar.runio import CSV_HEADER, DirectoryLock, OutputDirBusy, execute_run
 
-from conftest import random_spectral_field
+from conftest import random_spectral_field, single_mode_field
 
 
 def small_config_text(out_dir, chi=0.2, t_end=0.3, amplitude=0.5, extra=""):
@@ -158,6 +159,20 @@ def test_checkpoint_non_finite(tmp_path, grid8):
     blob[100:108] = np.array([np.nan]).tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="non-finite"):
+        read_checkpoint(path)
+
+
+def out_of_band_state(grid):
+    """A valid SimState with one velocity mode just above the 2/3 cutoff."""
+    index = grid.n_per_axis // 3 + 1
+    u = single_mode_field(grid, component=1, axis=0, index=index, amplitude=0.1)
+    return SimState(0.0, u, random_spectral_field(grid, 4))
+
+
+def test_checkpoint_out_of_band(tmp_path, grid8):
+    path = tmp_path / "state.bin"
+    write_checkpoint(out_of_band_state(grid8), PhysicalParams(0.4, 0.3, 0.2), path)
+    with pytest.raises(CheckpointError, match="coefficients outside the 2/3 band"):
         read_checkpoint(path)
 
 
@@ -374,6 +389,20 @@ def test_cli_resume_param_mismatch(tmp_path, capsys):
     code = main(["resume", str(src_dir / "checkpoint.bin"), str(other)])
     assert code == 2
     assert "chi" in capsys.readouterr().err
+
+
+def test_cli_resume_out_of_band_exit_2(tmp_path, capsys):
+    grid = make_grid(8, 12.566370614359172)  # the grid of small_config_text
+    checkpoint = tmp_path / "state.bin"
+    write_checkpoint(out_of_band_state(grid), PhysicalParams(0.4, 0.3, 0.2), checkpoint)
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path, small_config_text(out_dir, t_end=0.6))
+    assert main(["resume", str(checkpoint), str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "coefficients outside the 2/3 band" in err[0]
+    assert not (out_dir / "diagnostics.csv").exists()
+    assert not (out_dir / "abort.txt").exists()
 
 
 def test_console_script_entry_point(tmp_path):

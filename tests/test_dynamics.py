@@ -268,7 +268,7 @@ def test_w_damping_bound_with_frozen_u(grid8):
 
 
 # ---------------------------------------------------------------------------
-# half-lattice stepper against full-lattice oracles
+# band stepper against full-lattice oracles
 
 
 def full_lattice_rhs(state, p):
@@ -316,6 +316,17 @@ def test_step_power_matches_energy_power(grid16):
         + inner(state.w, SpectralVectorField(grid16, w_t))
     )
     assert stepper.last_power == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("entry", ["rhs", "step"])
+def test_rejects_out_of_band_state(grid8, entry):
+    # K = 8//3 = 2: a mode of index 3 lies outside the 2/3 band
+    u = single_mode_field(grid8, component=1, axis=0, index=3, amplitude=0.1)
+    state = SimState(0.0, u, zero_field(grid8))
+    stepper = Stepper(grid8, PARAMS, StepperConfig(dt=0.01, t_end=1.0))
+    call = {"rhs": lambda: rhs(state, PARAMS), "step": lambda: stepper.step(state)}
+    with pytest.raises(ValueError, match="outside the 2/3 band"):
+        call[entry]()
 
 
 # ---------------------------------------------------------------------------

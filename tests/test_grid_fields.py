@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import rfftn
 
 from micropolar.fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
-    expand_half,
-    fold_half,
-    forward_half,
-    inverse_half,
+    expand_band,
+    fold_band,
+    forward_band,
+    inverse_band,
     to_real,
     to_spectral,
 )
@@ -140,32 +141,71 @@ def test_hermitian_symmetry(grid8):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian half lattice
+# compact 2/3-rule band
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_half_lattice_transforms_and_expand(n):
+def band_rows(n):
+    """FFT-order indices 0..K, n-K..n-1 of the 2/3 rule, K = n//3."""
+    k = n // 3
+    return np.r_[0 : k + 1, n - k : n]
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])  # 18: K = n/3 exactly
+def test_forward_band_matches_rfftn_and_mask(n):
     grid = make_grid(n, 2.0 * np.pi)
+    k, rows = n // 3, band_rows(n)
+    mask = grid.dealias_mask[..., : n // 2 + 1]
+    assert np.count_nonzero(mask) == (2 * k + 1) ** 2 * (k + 1)
+    assert mask[np.ix_(rows, rows, np.arange(k + 1))].all()
     f = random_real_field(grid, seed=11)
-    full = to_spectral(f).data
-    half = forward_half(f.data)
-    assert half.shape == (3, n, n, n // 2 + 1)
-    assert np.abs(half - fold_half(full)).max() <= 1e-15
-    assert np.abs(inverse_half(half) - f.data).max() <= 1e-13 * np.abs(f.data).max()
-    assert np.abs(expand_half(half) - full).max() <= 1e-15
-    assert np.shares_memory(fold_half(full), full)
+    want = rfftn(f.data, axes=(1, 2, 3), norm="forward") * mask
+    got = forward_band(f.data, grid)
+    assert got.shape == (3, 2 * k + 1, 2 * k + 1, k + 1)
+    want_band = want[:, rows][:, :, rows][..., : k + 1]
+    assert np.abs(got - want_band).max() <= 1e-15 * np.abs(want_band).max()
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])
+def test_band_transform_round_trip(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    f = to_real(random_spectral_field(grid, seed=13)).data
+    back = inverse_band(forward_band(f, grid), grid)
+    assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("n", [8, 18])
+def test_fold_expand_round_trip(n):
+    grid = make_grid(n, 2.0 * np.pi)
+    spec = random_spectral_field(grid, seed=14).data
+    band = fold_band(spec, grid)
+    rows = band_rows(n)
+    assert np.array_equal(band, spec[:, rows][:, :, rows][..., : n // 3 + 1])
+    full = expand_band(band, grid)
+    assert np.abs(full - spec).max() <= 1e-15 * np.abs(spec).max()
+    neg = (-np.arange(n)) % n
+    assert np.array_equal(full[:, neg][:, :, neg][:, :, :, neg], np.conj(full))
+    assert np.array_equal(expand_band(fold_band(full, grid), grid), full)
+    assert np.array_equal(fold_band(expand_band(band, grid), grid)[..., 1:], band[..., 1:])
+
+
+@pytest.mark.parametrize("index", [(0, 0, 3), (0, 3, 0), (3, 0, 0), (5, 5, 5)])
+def test_fold_band_rejects_out_of_band(grid8, index):
+    data = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    data[(1,) + index] = 1e-300
+    with pytest.raises(ValueError, match="outside the 2/3 band"):
+        fold_band(data, grid8)
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_hermitian_weight_half_lattice_sums(n):
+def test_band_weight_sums(n):
     grid = make_grid(n, 2.0 * np.pi)
-    f = to_spectral(random_real_field(grid, seed=12))
-    half = fold_half(f.data)
-    weight = grid.hermitian_weight
-    assert weight.shape == (n // 2 + 1,)
-    sq = np.abs(half) ** 2
+    f = random_spectral_field(grid, seed=12)
+    band = fold_band(f.data, grid)
+    weight = grid.band.weight
+    assert weight.shape == (n // 3 + 1,)
+    sq = np.abs(band) ** 2
     l2_sq = grid.volume * np.sum(weight * sq)
-    grad_sq = grid.volume * np.sum(weight * fold_half(grid.deriv_k_sq) * sq)
+    grad_sq = grid.volume * np.sum(weight * grid.band.deriv_k_sq * sq)
     assert l2_sq == pytest.approx(l2(f) ** 2, rel=1e-13)
     assert grad_sq == pytest.approx(l2_grad(f) ** 2, rel=1e-13)
 
