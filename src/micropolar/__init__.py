@@ -34,7 +34,6 @@ from .dynamics import (
     make_initial,
     recover_pressure,
     rhs,
-    step,
 )
 from .semigroup import (
     DuhamelLedger,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, SpectralVectorField, fold_band
+from .fields import PhysicalParams, SimState, SpectralVectorField
 from .grid import make_grid
 
 MAGIC = b"MPOLAR01"
@@ -73,20 +73,15 @@ def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:
         raise CheckpointError(
             f"{path}: bad magic {magic!r} (expected {MAGIC!r})"
         )
-    if n < 4 or n % 2 != 0:
-        raise CheckpointError(f"{path}: invalid grid size {n}")
     expected = _HEADER.size + 2 * 3 * n**3 * 16
     if len(blob) != expected:
         raise CheckpointError(
             f"{path}: truncated payload ({len(blob)} bytes, expected {expected})"
         )
-    grid = make_grid(int(n), float(length))
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
     data = flat.reshape(2, 3, n, n, n)
-    if not np.isfinite(data.view(np.float64)).all():
-        raise CheckpointError(f"{path}: non-finite payload")
-    try:
-        fold_band(data, grid)  # the stepper takes only states inside the band
+    try:  # Grid checks n; SimState checks finiteness, the 2/3 band and div u
+        grid = make_grid(int(n), float(length))
         params = PhysicalParams(mu=mu, gamma=gamma, chi=chi)
         state = SimState(
             t,

@@ -169,6 +169,8 @@ def parse_config_text(text: str) -> RunConfig:
             directory=Path(values["output.dir"]),
             checkpoint_every=values["output.checkpoint_every"],
         )
+    except MemoryError:  # only the grid's n^3 arrays are large
+        raise ConfigError("too large to allocate", seen_lines["grid.n"], "grid.n")
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -18,6 +18,7 @@ from .fields import (
     ScalarField,
     SimState,
     SpectralVectorField,
+    check_band,
     expand_band,
     fold_band,
     forward_band,
@@ -44,7 +45,7 @@ class CflError(RuntimeError):
 
 
 class SimulationDiverged(RuntimeError):
-    """Non-finite field values detected; carries the last good time.
+    """A step gave an invalid (e.g. non-finite) state; carries the last good time.
 
     step is the index of the failing step within evolve (-1 when the
     stepper is driven directly).
@@ -229,9 +230,9 @@ def recover_pressure(state: SimState) -> ScalarField:
 class Stepper:
     """Advances a SimState by a fixed dt with precomputed propagators.
 
-    A step runs on the 2/3-rule band (Grid.band): it folds u and w at entry
-    (ValueError outside the band) and expands the result once at exit.
-    propagate_w advances w alone with u held at 0, where it is linear.
+    A step runs on the 2/3-rule band (Grid.band): it folds u and w at entry and
+    expands the result once at exit, into a SimState that checks it.  propagate_w
+    band-tests a bare w and advances it with u held at 0, where it is linear.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -266,6 +267,7 @@ class Stepper:
     def propagate_w(self, w: SpectralVectorField) -> SpectralVectorField:
         """w after one dt with u held at 0: the exact linear w propagator."""
         g = self.grid
+        check_band(w.data, g)
         return SpectralVectorField(
             g, expand_band(self._apply_w(fold_band(w.data, g), half=False), g)
         )
@@ -316,22 +318,15 @@ class Stepper:
         )
 
         w_next[:, 0, 0, 0] = 0.0
-        if not np.isfinite(spectral_l2_sq(u_next, g) + spectral_l2_sq(w_next, g)):
-            raise SimulationDiverged(
-                f"non-finite fields after step at t={state.t:.6g}",
-                t=state.t,
-                step=-1,
+        try:
+            return SimState(
+                state.t + dt if t_next is None else t_next,
+                SpectralVectorField(g, expand_band(u_next, g)),
+                SpectralVectorField(g, expand_band(w_next, g)),
             )
-        return SimState(
-            state.t + dt if t_next is None else t_next,
-            SpectralVectorField(g, expand_band(u_next, g)),
-            SpectralVectorField(g, expand_band(w_next, g)),
-        )
-
-
-def step(state: SimState, p: PhysicalParams, cfg: StepperConfig) -> SimState:
-    """One integrating-factor RK4 step (convenience wrapper)."""
-    return Stepper(state.grid, p, cfg).step(state)
+        except ValueError as exc:
+            message = f"invalid fields after step at t={state.t:.6g}: {exc}"
+            raise SimulationDiverged(message, t=state.t, step=-1) from exc
 
 
 def evolve(state: SimState, p: PhysicalParams, cfg: StepperConfig):

@@ -125,13 +125,18 @@ def inverse_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return _fft.irfft(y, n=n, axis=-1, workers=1, norm="forward")
 
 
-def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """The band (..., 2K+1, 2K+1, K+1) of full coefficients, as a copy;
-    ValueError if any coefficient outside the 2/3 band is nonzero."""
-    k, rows = grid.band.cutoff, grid.band.rows
+def check_band(data: np.ndarray, grid: Grid) -> None:
+    """ValueError if full data (..., n, n, n) is nonzero outside the 2/3 band;
+    reads the out-of-band slabs in place, since a gathered copy costs memory."""
+    k = grid.band.cutoff
     out = slice(k + 1, grid.n_per_axis - k)
     if data[..., out].any() or data[..., out, :].any() or data[..., out, :, :].any():
         raise ValueError("coefficients outside the 2/3 band")
+
+
+def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """The band (..., 2K+1, 2K+1, K+1) of full in-band coefficients, as a copy."""
+    k, rows = grid.band.cutoff, grid.band.rows
     return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
 
 
@@ -167,18 +172,19 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
-    """||div u||_2 / ||Du||_2 (0 when the field has no gradient energy)."""
+    """||div u||_2 / ||Du||_2 on the band (0 if Du = 0); ValueError outside it."""
     g = u.grid
-    grad_sq = float(np.sum(g.deriv_k_sq * np.abs(u.data) ** 2).real)
-    if grad_sq == 0.0:
-        return 0.0
-    div_sq = float(np.sum(np.abs(g.k_dot(u.data)) ** 2))
-    return np.sqrt(div_sq / grad_sq)
+    check_band(u.data, g)
+    band = fold_band(u.data, g)
+    grad_sq = float(np.sum(g.band.weight * g.band.deriv_k_sq * np.abs(band) ** 2))
+    div_sq = float(np.sum(g.band.weight * np.abs(g.k_dot(band)) ** 2))
+    return np.sqrt(div_sq / grad_sq) if grad_sq > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Velocity/micro-rotation pair (u, w) at time t, in spectral form."""
+    """Velocity/micro-rotation pair (u, w) at time t, in spectral form; checks that
+    both lie in the 2/3 band and u is solenoidal (the fields check finiteness)."""
 
     t: float
     u: SpectralVectorField
@@ -189,7 +195,8 @@ class SimState:
             raise ValueError(f"t must be non-negative, got {self.t}")
         if self.u.grid is not self.w.grid and self.u.grid != self.w.grid:
             raise ValueError("u and w live on different grids")
-        defect = divergence_defect(self.u)
+        check_band(self.w.data, self.grid)
+        defect = divergence_defect(self.u)  # runs the band test on u
         if defect > DIV_FREE_RTOL:
             raise ValueError(
                 f"u is not divergence-free: ||div u||/||Du|| = {defect:.3e}"

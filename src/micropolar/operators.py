@@ -156,8 +156,9 @@ def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> fl
     L^3 sum_k |k|^2 Re[conj(w_hat) . (i k x u_hat)].
     """
     g = w.grid
-    weighted = g.deriv_k_sq * w.data
-    return float(g.volume * np.vdot(weighted, curl_hat(u.data, g)).real)
+    # elementwise, not np.vdot: a threaded BLAS dot can stall for milliseconds
+    flow = np.conj(g.deriv_k_sq * w.data) * curl_hat(u.data, g)
+    return float(g.volume * np.sum(flow.real))
 
 
 def _require_nonzero_mean_free(u: RealVectorField, u_hat: np.ndarray) -> None:

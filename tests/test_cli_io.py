@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from micropolar.fields import PhysicalParams, SimState
 from micropolar.grid import make_grid
 from micropolar.runio import CSV_HEADER, DirectoryLock, OutputDirBusy, execute_run
 
-from conftest import random_spectral_field, single_mode_field
+from conftest import random_spectral_field
 
 
 def small_config_text(out_dir, chi=0.2, t_end=0.3, amplitude=0.5, extra=""):
@@ -162,17 +163,41 @@ def test_checkpoint_non_finite(tmp_path, grid8):
         read_checkpoint(path)
 
 
-def out_of_band_state(grid):
-    """A valid SimState with one velocity mode just above the 2/3 cutoff."""
-    index = grid.n_per_axis // 3 + 1
-    u = single_mode_field(grid, component=1, axis=0, index=index, amplitude=0.1)
-    return SimState(0.0, u, random_spectral_field(grid, 4))
+def write_out_of_band_checkpoint(grid, path):
+    """A valid checkpoint with one velocity coefficient set just above the 2/3
+    cutoff, in the file's bytes (no SimState holds such a field)."""
+    write_checkpoint(make_state(grid), PhysicalParams(0.4, 0.3, 0.2), path)
+    blob = bytearray(path.read_bytes())
+    n = grid.n_per_axis
+    header = len(blob) - 2 * 3 * n**3 * 16
+    index = np.ravel_multi_index((1, n // 3 + 1, 0, 0), (3, n, n, n))
+    blob[header + 16 * index : header + 16 * index + 8] = np.array([0.1]).tobytes()
+    path.write_bytes(bytes(blob))
 
 
 def test_checkpoint_out_of_band(tmp_path, grid8):
     path = tmp_path / "state.bin"
-    write_checkpoint(out_of_band_state(grid8), PhysicalParams(0.4, 0.3, 0.2), path)
+    write_out_of_band_checkpoint(grid8, path)
     with pytest.raises(CheckpointError, match="coefficients outside the 2/3 band"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("n", 5, "n_per_axis must be an even integer"), ("L", -1.0, "box_length")],
+    ids=["n", "L"],
+)
+def test_checkpoint_bad_grid(tmp_path, grid8, field, value, message):
+    path = tmp_path / "state.bin"
+    write_checkpoint(make_state(grid8), PhysicalParams(0.4, 0.3, 0.2), path)
+    blob = bytearray(path.read_bytes())
+    if field == "n":  # with a payload of the size n = 5 implies
+        blob[8:12] = np.array([value], dtype="<u4").tobytes()
+        blob = blob[: len(blob) - 2 * 3 * 8**3 * 16] + bytes(2 * 3 * value**3 * 16)
+    else:
+        blob[12:20] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=message):
         read_checkpoint(path)
 
 
@@ -394,7 +419,7 @@ def test_cli_resume_param_mismatch(tmp_path, capsys):
 def test_cli_resume_out_of_band_exit_2(tmp_path, capsys):
     grid = make_grid(8, 12.566370614359172)  # the grid of small_config_text
     checkpoint = tmp_path / "state.bin"
-    write_checkpoint(out_of_band_state(grid), PhysicalParams(0.4, 0.3, 0.2), checkpoint)
+    write_out_of_band_checkpoint(grid, checkpoint)
     out_dir = tmp_path / "out"
     cfg_path = write_config(tmp_path, small_config_text(out_dir, t_end=0.6))
     assert main(["resume", str(checkpoint), str(cfg_path)]) == 2
@@ -405,16 +430,13 @@ def test_cli_resume_out_of_band_exit_2(tmp_path, capsys):
     assert not (out_dir / "abort.txt").exists()
 
 
-def test_console_script_entry_point(tmp_path):
-    """`python -m micropolar.cli` runs a config end to end in a fresh interpreter and exits 0;
-    the `micropolar` script in [project.scripts] points at the same `micropolar.cli:main`."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(small_config_text(tmp_path / "out", t_end=0.1))
+def run_cli_process(cfg, **kwargs):
+    """`python -m micropolar.cli run <cfg>` in a fresh interpreter."""
     # The child imports the same package as this session, installed or from src/.
     import_path = [str(Path(micropolar.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         import_path.append(os.environ["PYTHONPATH"])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "micropolar.cli", "run", str(cfg)],
         capture_output=True,
         text=True,
@@ -422,6 +444,31 @@ def test_console_script_entry_point(tmp_path):
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": os.pathsep.join(import_path),
         },
+        **kwargs,
     )
+
+
+def test_console_script_entry_point(tmp_path):
+    """`python -m micropolar.cli` runs a config end to end in a fresh interpreter and exits 0;
+    the `micropolar` script in [project.scripts] points at the same `micropolar.cli:main`."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(small_config_text(tmp_path / "out", t_end=0.1))
+    proc = run_cli_process(cfg)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_cli_unallocatable_grid_exit_2(tmp_path):
+    """A grid.n whose lattice cannot be allocated exits 2 with one error line."""
+    cfg = tmp_path / "run.cfg"
+    text = small_config_text(tmp_path / "out").replace("grid.n = 8", "grid.n = 524288")
+    cfg.write_text(text)
+
+    def limit_address_space():  # 4 GB: the n^3 allocation fails at once
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    proc = run_cli_process(cfg, preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'grid.n'" in err[0]
+    assert not (tmp_path / "out").exists()

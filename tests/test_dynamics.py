@@ -15,7 +15,6 @@ from micropolar.dynamics import (
     make_initial,
     recover_pressure,
     rhs,
-    step,
 )
 from micropolar.fields import PhysicalParams, SimState, SpectralVectorField
 from micropolar.fields import zero_spectral as zero_field
@@ -116,8 +115,7 @@ def test_rhs_w_energy_identity(grid8):
 
 def test_step_zero_stays_zero(grid8):
     state = SimState(0.0, zero_field(grid8), zero_field(grid8))
-    cfg = StepperConfig(dt=0.1, t_end=1.0)
-    out = step(state, PARAMS, cfg)
+    out = Stepper(grid8, PARAMS, StepperConfig(dt=0.1, t_end=1.0)).step(state)
     assert np.abs(out.u.data).max() == 0.0
     assert np.abs(out.w.data).max() == 0.0
     assert out.t == pytest.approx(0.1)
@@ -200,7 +198,7 @@ def test_cfl_violation_raises(grid8):
     state = random_state(grid8, seed=43, scale=50.0)
     cfg = StepperConfig(dt=1.0, t_end=2.0, cfl_safety=0.5)
     with pytest.raises(CflError):
-        step(state, PARAMS, cfg)
+        Stepper(grid8, PARAMS, cfg).step(state)
 
 
 def test_overflow_detected_as_divergence(grid8):
@@ -211,8 +209,22 @@ def test_overflow_detected_as_divergence(grid8):
     with np.errstate(over="ignore", invalid="ignore"):
         state = random_state(grid8, seed=47, scale=1e200)
         cfg = StepperConfig(dt=1e-250, t_end=2e-250)
-        with pytest.raises(SimulationDiverged):
-            step(state, PARAMS, cfg)
+        with pytest.raises(SimulationDiverged, match="non-finite"):
+            Stepper(grid8, PARAMS, cfg).step(state)
+
+
+def test_invalid_step_output_raises(grid8, monkeypatch):
+    # Without the Leray projection the step's u is not solenoidal; the
+    # SimState built from the output must refuse it.
+    import micropolar.dynamics
+    from micropolar.dynamics import SimulationDiverged
+
+    monkeypatch.setattr(micropolar.dynamics, "leray_hat", lambda data, grid: data)
+    state = random_state(grid8, seed=46, scale=0.5)
+    stepper = Stepper(grid8, PARAMS, StepperConfig(dt=0.05, t_end=1.0))
+    with pytest.raises(SimulationDiverged, match="not divergence-free") as info:
+        stepper.step(state)
+    assert info.value.t == state.t and info.value.step == -1
 
 
 def test_divergence_reports_step_index(grid8):
@@ -318,15 +330,20 @@ def test_step_power_matches_energy_power(grid16):
     assert stepper.last_power == pytest.approx(full, rel=1e-13)
 
 
-@pytest.mark.parametrize("entry", ["rhs", "step"])
+@pytest.mark.parametrize("entry", ["state", "propagate_w"])
 def test_rejects_out_of_band_state(grid8, entry):
-    # K = 8//3 = 2: a mode of index 3 lies outside the 2/3 band
-    u = single_mode_field(grid8, component=1, axis=0, index=3, amplitude=0.1)
-    state = SimState(0.0, u, zero_field(grid8))
+    # K = 8//3 = 2: a mode of index 3 lies outside the 2/3 band; rhs and step
+    # take only a SimState, so SimState and propagate_w are the entry points
+    f = single_mode_field(grid8, component=1, axis=0, index=3, amplitude=0.1)
+    zero = zero_field(grid8)
     stepper = Stepper(grid8, PARAMS, StepperConfig(dt=0.01, t_end=1.0))
-    call = {"rhs": lambda: rhs(state, PARAMS), "step": lambda: stepper.step(state)}
-    with pytest.raises(ValueError, match="outside the 2/3 band"):
-        call[entry]()
+    calls = {
+        "state": [lambda: SimState(0.0, f, zero), lambda: SimState(0.0, zero, f)],
+        "propagate_w": [lambda: stepper.propagate_w(f)],
+    }
+    for call in calls[entry]:
+        with pytest.raises(ValueError, match="outside the 2/3 band"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from micropolar.fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
+    check_band,
     expand_band,
     fold_band,
     forward_band,
@@ -189,11 +190,11 @@ def test_fold_expand_round_trip(n):
 
 
 @pytest.mark.parametrize("index", [(0, 0, 3), (0, 3, 0), (3, 0, 0), (5, 5, 5)])
-def test_fold_band_rejects_out_of_band(grid8, index):
+def test_check_band_rejects_out_of_band(grid8, index):
     data = np.zeros((3,) + grid8.shape, dtype=np.complex128)
     data[(1,) + index] = 1e-300
     with pytest.raises(ValueError, match="outside the 2/3 band"):
-        fold_band(data, grid8)
+        check_band(data, grid8)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -190,6 +190,16 @@ def test_leray_output_divergence(grid8):
     assert divergence_defect(leray_project(f)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 18])
+def test_divergence_defect_matches_full_lattice_norms(n):
+    # summed on the band, weighted for the kz < 0 half it does not hold
+    from micropolar.fields import divergence_defect
+    from micropolar.norms import l2_div, l2_grad
+
+    f = random_spectral_field(make_grid(n, 2.0 * np.pi), seed=5)
+    assert divergence_defect(f) == pytest.approx(l2_div(f) / l2_grad(f), rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # dealiasing
 
