@@ -11,8 +11,11 @@ Layout (all little-endian):
                   m <= n/2 and 2*pi/L * (m - n) above)
 
 complex128 is an interleaved (re, im) pair of f64, so the payload matches
-the documented wire format byte for byte.  The writer fills <path>.tmp and
-moves it over <path>, so a failed write never destroys the last checkpoint.
+the documented wire format byte for byte.  States are stored on the 2/3-rule
+band, so the writer expands them here, one component at a time, and the reader
+folds the file's lattice back (fold_band refuses out-of-band coefficients).
+The writer fills <path>.tmp and moves it over <path>, so a failed write never
+destroys the last checkpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, SpectralVectorField
+from .fields import PhysicalParams, SimState, SpectralVectorField, expand_band
 from .grid import make_grid
 
 MAGIC = b"MPOLAR01"
@@ -45,14 +48,14 @@ def write_checkpoint(state: SimState, params: PhysicalParams, path: str | Path) 
         params.gamma,
         params.chi,
     )
-    payload = (
-        state.u.data.astype("<c16", copy=False).tobytes()
-        + state.w.data.astype("<c16", copy=False).tobytes()
-    )
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(header + payload)
+        with tmp.open("wb") as out:
+            out.write(header)
+            for field in (state.u, state.w):
+                for component in field.data:
+                    out.write(expand_band(component, grid).astype("<c16", copy=False))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -80,13 +83,13 @@ def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:
         )
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
     data = flat.reshape(2, 3, n, n, n)
-    try:  # Grid checks n; SimState checks finiteness, the 2/3 band and div u
+    try:  # Grid checks n, the fields finiteness; SimState folds (2/3 band), div u
         grid = make_grid(int(n), float(length))
         params = PhysicalParams(mu=mu, gamma=gamma, chi=chi)
         state = SimState(
             t,
-            SpectralVectorField(grid, data[0].copy()),
-            SpectralVectorField(grid, data[1].copy()),
+            SpectralVectorField(grid, data[0]),
+            SpectralVectorField(grid, data[1]),
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

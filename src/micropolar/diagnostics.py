@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, fold_band, inverse_band
+from .fields import PhysicalParams, SimState, inverse_band
 from .norms import l2, l2_div, l2_grad, l2_grad2
 from .operators import CALIBRATED_C_INFTY, epsilon_cross_integral
 from .quadrature import RunningIntegral
@@ -232,8 +232,8 @@ class RunAccumulator:
         l2_u = l2(u)
         l2_w, l2_du, l2_dw, l2_divw = self._norms
         d2u, d2w = l2_grad2(u), l2_grad2(w)
-        linf_u = float(np.abs(inverse_band(fold_band(u.data, g), g)).max())
-        linf_w = float(np.abs(inverse_band(fold_band(w.data, g), g)).max())
+        linf_u = float(np.abs(inverse_band(u.data, g)).max())
+        linf_w = float(np.abs(inverse_band(w.data, g)).max())
         l2_pair = float(np.hypot(l2_u, l2_w))
         int_du_sq, int_dw_sq = self._du.value, self._dw.value
         int_divw_sq, int_w_sq = self._divw.value, self._w.value

@@ -55,15 +55,19 @@ class RealVectorField:
 
 @dataclass(frozen=True)
 class SpectralVectorField:
-    """Three complex coefficient blocks indexed by the wavenumber lattice."""
+    """Three complex coefficient blocks on the full lattice (3, n, n, n) or on
+    the 2/3-rule band (3, 2K+1, 2K+1, K+1); operators pick their symbols by
+    the layout (Grid.lattice)."""
 
     grid: Grid
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = (3,) + self.grid.shape
-        if self.data.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {self.data.shape}")
+        full, band = (3,) + self.grid.shape, (3,) + self.grid.band.shape
+        if self.data.shape not in (full, band):
+            raise ValueError(
+                f"expected shape {full} or {band}, got {self.data.shape}"
+            )
         _check_finite(self.data, "SpectralVectorField")
 
     def copy(self) -> "SpectralVectorField":
@@ -125,36 +129,48 @@ def inverse_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return _fft.irfft(y, n=n, axis=-1, workers=1, norm="forward")
 
 
-def check_band(data: np.ndarray, grid: Grid) -> None:
-    """ValueError if full data (..., n, n, n) is nonzero outside the 2/3 band;
-    reads the out-of-band slabs in place, since a gathered copy costs memory."""
-    k = grid.band.cutoff
-    out = slice(k + 1, grid.n_per_axis - k)
+def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """The band (..., 2K+1, 2K+1, K+1) of full coefficients (..., n, n, n), as a
+    copy; ValueError if data is nonzero outside the 2/3 band.  The one
+    full -> band conversion: user-built states and checkpoints enter here."""
+    k, rows = grid.band.cutoff, grid.band.rows
+    out = slice(k + 1, grid.n_per_axis - k)  # slabs read in place, no copy
     if data[..., out].any() or data[..., out, :].any() or data[..., out, :, :].any():
         raise ValueError("coefficients outside the 2/3 band")
-
-
-def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """The band (..., 2K+1, 2K+1, K+1) of full in-band coefficients, as a copy."""
-    k, rows = grid.band.cutoff, grid.band.rows
     return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
 
 
-def expand_band(band: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full coefficients (..., n, n, n) of the band, by f(-k) = conj f(k).
+def _mirror_rows(grid: Grid) -> np.ndarray:
+    k = grid.band.cutoff
+    return (-np.arange(2 * k + 1)) % (2 * k + 1)  # band row of -k
 
-    The kz = 0 plane holds both k and -k; it is replaced by its Hermitian
-    part, so the result is exactly Hermitian.
-    """
+
+def hermitian_plane(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """The Hermitian part of the band's kz = 0 plane, which holds both k and
+    -k: f(k) and conj f(-k) averaged, so the result is exactly Hermitian."""
+    neg = _mirror_rows(grid)
+    plane = band[..., 0]
+    return 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
+
+
+def expand_band(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full coefficients (..., n, n, n) of the band, by f(-k) = conj f(k),
+    with the kz = 0 plane replaced by its Hermitian part (hermitian_plane)."""
     n, k, rows = grid.n_per_axis, grid.band.cutoff, grid.band.rows
-    neg = (-np.arange(2 * k + 1)) % (2 * k + 1)  # band row of -k
+    neg = _mirror_rows(grid)
     full = np.zeros(band.shape[:-3] + (n, n, n), dtype=band.dtype)
     xy = (Ellipsis, rows[:, None], rows)
     full[xy + (slice(1, k + 1),)] = band[..., 1:]
     full[xy + (slice(n - k, n),)] = np.conj(band[..., neg[:, None], neg, k:0:-1])
-    plane = band[..., 0]
-    full[xy + (0,)] = 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
+    full[xy + (0,)] = hermitian_plane(band, grid)
     return full
+
+
+def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Physical samples (..., n, n, n) of full or band coefficients."""
+    if grid.lattice(coeffs) is grid.band:
+        return inverse_band(coeffs, grid)
+    return inverse_transform(coeffs)
 
 
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
@@ -163,8 +179,8 @@ def to_spectral(f: RealVectorField) -> SpectralVectorField:
 
 
 def to_real(g: SpectralVectorField) -> RealVectorField:
-    """Transform Fourier coefficients back to physical samples."""
-    return RealVectorField(g.grid, inverse_transform(g.data))
+    """Transform Fourier coefficients (full or band) back to physical samples."""
+    return RealVectorField(g.grid, to_physical(g.data, g.grid))
 
 
 def zero_spectral(grid: Grid) -> SpectralVectorField:
@@ -172,19 +188,22 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
-    """||div u||_2 / ||Du||_2 on the band (0 if Du = 0); ValueError outside it."""
+    """||div u||_2 / ||Du||_2 of full or band u (0 if Du = 0)."""
     g = u.grid
-    check_band(u.data, g)
-    band = fold_band(u.data, g)
-    grad_sq = float(np.sum(g.band.weight * g.band.deriv_k_sq * np.abs(band) ** 2))
-    div_sq = float(np.sum(g.band.weight * np.abs(g.k_dot(band)) ** 2))
+    sq = np.abs(u.data) ** 2
+    grad_sq = float(g.mode_sum(g.lattice(u.data).deriv_k_sq * sq))
+    div_sq = float(g.mode_sum(np.abs(g.k_dot(u.data)) ** 2))
     return np.sqrt(div_sq / grad_sq) if grad_sq > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Velocity/micro-rotation pair (u, w) at time t, in spectral form; checks that
-    both lie in the 2/3 band and u is solenoidal (the fields check finiteness)."""
+    """Velocity/micro-rotation pair (u, w) at time t, stored on the 2/3-rule band.
+
+    Full-lattice fields are folded on entry (fold_band refuses out-of-band
+    coefficients); the fields check finiteness and the state checks that u is
+    solenoidal.
+    """
 
     t: float
     u: SpectralVectorField
@@ -195,8 +214,13 @@ class SimState:
             raise ValueError(f"t must be non-negative, got {self.t}")
         if self.u.grid is not self.w.grid and self.u.grid != self.w.grid:
             raise ValueError("u and w live on different grids")
-        check_band(self.w.data, self.grid)
-        defect = divergence_defect(self.u)  # runs the band test on u
+        g = self.grid
+        for name in ("u", "w"):
+            field = getattr(self, name)
+            if g.lattice(field.data) is not g.band:
+                folded = SpectralVectorField(g, fold_band(field.data, g))
+                object.__setattr__(self, name, folded)
+        defect = divergence_defect(self.u)
         if defect > DIV_FREE_RTOL:
             raise ValueError(
                 f"u is not divergence-free: ||div u||/||Du|| = {defect:.3e}"

@@ -22,9 +22,10 @@ class Band:
 
     f(-k) = conj f(k) gives the rest.  K (cutoff) = n//3 is the largest
     index kept, so there is no Nyquist plane.  Axes are in FFT order:
-    0..K then n-K..n-1 on x and y (rows), 0..K on z.  dkx, dky, dkz,
-    deriv_k_sq and inv_deriv_k_sq are the Grid symbols on the band; weight
-    is the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
+    0..K then n-K..n-1 on x and y (rows), 0..K on z.  dkx, dky, dkz, k_sq,
+    deriv_k_sq and inv_deriv_k_sq are the Grid symbols on the band (k_sq
+    equals deriv_k_sq there); weight is the multiplicity of a kz index, 1 on
+    kz = 0 and 2 elsewhere.
     """
 
     def __init__(self, grid: "Grid"):
@@ -34,6 +35,8 @@ class Band:
         cube = np.ix_(rows, rows, np.arange(k + 1))
         self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
         self.dkz = grid.dkz[..., : k + 1]
+        self.shape = (2 * k + 1, 2 * k + 1, k + 1)
+        self.k_sq = grid.k_sq[cube]
         self.deriv_k_sq = grid.deriv_k_sq[cube]
         self.inv_deriv_k_sq = grid.inv_deriv_k_sq[cube]
         self.weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)
@@ -128,7 +131,14 @@ class Grid:
 
     def lattice(self, data: np.ndarray) -> "Grid | Band":
         """The holder of the symbols matching data: the band or the full grid."""
-        return self.band if data.shape[-3:] == self.band.deriv_k_sq.shape else self
+        return self.band if data.shape[-3:] == self.band.shape else self
+
+    def mode_sum(self, values: np.ndarray) -> float | complex:
+        """sum_k values(k) over every mode of a full or band array: on the band
+        a kz > 0 entry also stands for its mirror -k, so it counts twice."""
+        if self.lattice(values) is self.band:
+            return np.sum(self.band.weight * values)
+        return np.sum(values)
 
     def k_dot(self, data: np.ndarray) -> np.ndarray:
         """k . f_hat of a full or band coefficient array (derivative

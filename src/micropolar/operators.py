@@ -1,9 +1,11 @@
 """Differential and projection operators in Fourier space.
 
-All operators act mode-wise.  First derivatives multiply by i*k with the
-Nyquist entry of the differentiated axis zeroed (its derivative has no real
-representation); composite operators (Laplacian, grad(div)) are built from
-the same derivative symbols so that operator identities hold exactly.
+All operators act mode-wise on the full lattice or on the 2/3-rule band,
+picking their symbols by the data's layout (Grid.lattice).  First
+derivatives multiply by i*k with the Nyquist entry of the differentiated
+axis zeroed (its derivative has no real representation); composite operators
+(Laplacian, grad(div)) are built from the same derivative symbols so that
+operator identities hold exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from .fields import (
     RealVectorField,
     ScalarField,
     SpectralVectorField,
+    forward_band,
     forward_transform,
     inverse_transform,
+    to_physical,
     to_spectral,
 )
 from .grid import Grid
@@ -35,15 +39,12 @@ LEVI_CIVITA.setflags(write=False)
 CALIBRATED_C_INFTY = 0.11261643628557787
 
 
-def _dk(grid: Grid, axis: int) -> np.ndarray:
-    return (grid.dkx, grid.dky, grid.dkz)[axis]
-
-
 def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
     """d/dx_axis applied to every component (axis 0 is x)."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    return SpectralVectorField(f.grid, 1j * _dk(f.grid, axis) * f.data)
+    s = f.grid.lattice(f.data)
+    return SpectralVectorField(f.grid, 1j * (s.dkx, s.dky, s.dkz)[axis] * f.data)
 
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -53,7 +54,7 @@ def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
 
 def divergence(f: SpectralVectorField) -> ScalarField:
     """div f as a physical scalar field."""
-    return ScalarField(f.grid, inverse_transform(divergence_hat(f.data, f.grid)))
+    return ScalarField(f.grid, to_physical(divergence_hat(f.data, f.grid), f.grid))
 
 
 def gradient(p: ScalarField) -> SpectralVectorField:
@@ -85,7 +86,7 @@ def curl(f: SpectralVectorField) -> SpectralVectorField:
 
 def laplacian(f: SpectralVectorField) -> SpectralVectorField:
     """Componentwise Laplacian, symbol -|k|^2 (derivative wavenumbers)."""
-    return SpectralVectorField(f.grid, -f.grid.deriv_k_sq * f.data)
+    return SpectralVectorField(f.grid, -f.grid.lattice(f.data).deriv_k_sq * f.data)
 
 
 def grad_div_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -126,18 +127,25 @@ def leray_project(f: SpectralVectorField) -> SpectralVectorField:
 
 
 def dealias(f: SpectralVectorField) -> SpectralVectorField:
-    """Zero every coefficient with any |k_axis| above the 2/3-rule cutoff."""
+    """Zero every coefficient with any |k_axis| above the 2/3-rule cutoff
+    (band data has none: a copy)."""
+    if f.grid.lattice(f.data) is f.grid.band:
+        return f.copy()
     return SpectralVectorField(f.grid, f.data * f.grid.dealias_mask)
 
 
 def advect_hat(v_data: np.ndarray, f_data: np.ndarray, grid: Grid) -> np.ndarray:
-    """(v . grad) f via pseudo-spectral products, dealiased by the 2/3 rule."""
-    v_phys = inverse_transform(v_data)
+    """(v . grad) f via pseudo-spectral products, dealiased by the 2/3 rule;
+    full or band data in, the same layout out."""
+    s = grid.lattice(v_data)
+    v_phys = to_physical(v_data, grid)
     adv = np.zeros((3,) + grid.shape)
-    for j, dk in enumerate((grid.dkx, grid.dky, grid.dkz)):
-        df = inverse_transform(1j * dk * f_data)
+    for j, dk in enumerate((s.dkx, s.dky, s.dkz)):
+        df = to_physical(1j * dk * f_data, grid)
         df *= v_phys[j]
         adv += df
+    if s is grid.band:
+        return forward_band(adv, grid)
     result = forward_transform(adv)
     result *= grid.dealias_mask
     return result
@@ -157,8 +165,8 @@ def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> fl
     """
     g = w.grid
     # elementwise, not np.vdot: a threaded BLAS dot can stall for milliseconds
-    flow = np.conj(g.deriv_k_sq * w.data) * curl_hat(u.data, g)
-    return float(g.volume * np.sum(flow.real))
+    flow = np.conj(g.lattice(w.data).deriv_k_sq * w.data) * curl_hat(u.data, g)
+    return float(g.volume * g.mode_sum(flow.real))
 
 
 def _require_nonzero_mean_free(u: RealVectorField, u_hat: np.ndarray) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,30 +47,64 @@ def format_csv_row(rec: DiagnosticsRecord) -> str:
 class DirectoryLock:
     """One writer per output directory, enforced by a lock file.
 
-    The lock file holds the owner's pid, so that a stale lock can be told
-    from a live run.
+    The lock file holds the owner's pid.  A lock whose pid no longer exists
+    is stale: it is taken over with one line on stderr.  A live pid, a pid
+    this process may not signal, or an unreadable pid keeps the directory
+    busy.
     """
 
     def __init__(self, directory: Path):
         self.path = Path(directory) / ".micropolar.lock"
 
-    def __enter__(self) -> "DirectoryLock":
+    def _create(self) -> bool:
         try:
             with self.path.open("x") as lock:
                 lock.write(f"{os.getpid()}\n")
         except FileExistsError:
-            try:
-                owner = self.path.read_text().strip() or "unknown"
-            except OSError:
-                owner = "unknown"
-            raise OutputDirBusy(
-                f"output directory {self.path.parent} is locked by another "
-                f"run (pid {owner}; remove {self.path.name} if that run is gone)"
-            ) from None
-        return self
+            return False
+        return True
+
+    def __enter__(self) -> "DirectoryLock":
+        if self._create():
+            return self
+        try:
+            owner = self.path.read_text().strip() or "unknown"
+        except OSError:
+            owner = "unknown"
+        if _pid_is_gone(owner):
+            print(
+                f"micropolar: taking over stale lock {self.path} "
+                f"(pid {owner} no longer exists)",
+                file=sys.stderr,
+            )
+            self.path.unlink(missing_ok=True)
+            if self._create():
+                return self
+        raise OutputDirBusy(
+            f"output directory {self.path.parent} is locked by another "
+            f"run (pid {owner}; remove {self.path.name} if that run is gone)"
+        )
 
     def __exit__(self, *exc) -> None:
         self.path.unlink(missing_ok=True)
+
+
+def _pid_is_gone(owner: str) -> bool:
+    """True only if owner is a positive pid that no process has; signal 0
+    checks for the process without signalling it."""
+    try:
+        pid = int(owner)
+    except ValueError:
+        return False
+    if pid <= 0:  # 0 and negative pids name process groups
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # e.g. PermissionError: it exists
+        pass
+    return False
 
 
 @dataclass

@@ -25,8 +25,6 @@ from .fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
-    expand_band,
-    fold_band,
     forward_transform,
     inverse_transform,
 )
@@ -44,7 +42,8 @@ def heat_apply(f: SpectralVectorField, nu: float, tau: float) -> SpectralVectorF
         raise ValueError(f"tau must be non-negative, got {tau}")
     if tau == 0.0:
         return f.copy()
-    return SpectralVectorField(f.grid, f.data * np.exp(-nu * tau * f.grid.k_sq))
+    k_sq = f.grid.lattice(f.data).k_sq
+    return SpectralVectorField(f.grid, f.data * np.exp(-nu * tau * k_sq))
 
 
 def decay_exponent(n: int, r: float, m: int) -> float:
@@ -211,9 +210,13 @@ def _alpha_weight(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
 
 
 def _shell_collapse(weighted: np.ndarray, grid: Grid) -> np.ndarray:
-    """Sum a non-negative (n,n,n) array over integer |k/k_min|^2 shells."""
+    """Sum a non-negative full (n,n,n) or band array over integer |k/k_min|^2
+    shells (a band kz > 0 entry counts for its mirror too)."""
+    s = grid.lattice(weighted)
     k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
-    msq = np.rint(grid.k_sq / k_min_sq).astype(np.int64)
+    msq = np.rint(s.k_sq / k_min_sq).astype(np.int64)
+    if s is grid.band:
+        weighted = s.weight * weighted
     return np.bincount(msq.ravel(), weights=weighted.ravel())
 
 
@@ -310,13 +313,12 @@ class DuhamelReconstruction:
 
 
 def _forcing_hat(state: SimState, p: PhysicalParams) -> np.ndarray:
-    """-(u.grad)w + grad(div w) + chi curl u, as raw coefficients.
+    """-(u.grad)w + grad(div w) + chi curl u, as raw band coefficients.
 
     The stepper's explicit w term plus the grad-div part of its linear term.
     """
-    g = state.grid
-    u, w = fold_band(state.u.data, g), fold_band(state.w.data, g)
-    return expand_band(_explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g), g)
+    g, u, w = state.grid, state.u.data, state.w.data
+    return _explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g)
 
 
 def duhamel_reconstruct_w(
@@ -341,7 +343,7 @@ def duhamel_reconstruct_w(
     grid = first.grid
     gamma, chi = p.gamma, p.chi
     t_prev = first.t
-    accum = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    accum = np.zeros_like(first.w.data)  # states, and so all of this, are band
     f_prev = _forcing_hat(first, p)
     if form == "z":
         f_prev = f_prev * np.exp(2.0 * chi * first.t)
@@ -355,7 +357,7 @@ def duhamel_reconstruct_w(
         dt_s = state.t - t_prev
         if dt_s <= 0.0:
             raise ValueError("trajectory is not time-ordered")
-        heat = np.exp(-gamma * dt_s * grid.k_sq)
+        heat = np.exp(-gamma * dt_s * grid.band.k_sq)
         if form == "w":
             heat = heat * np.exp(-2.0 * chi * dt_s)
         f_cur = _forcing_hat(state, p)

@@ -436,14 +436,13 @@ def frozen_u_series(
     stepper's exact propagator, and ||w|| decays at a rate of at least 2 chi.
     """
     grid = w0.grid
-    zeros = zero_spectral(grid)
     stepper = Stepper(grid, p, StepperConfig(dt=dt, t_end=t_end))
     acc = RunAccumulator(p, dt)
-    state = SimState(0.0, zeros, w0)
+    state = SimState(0.0, zero_spectral(grid), w0)
     series = []
     for j in range(round(t_end / dt) + 1):
         if j:
-            state = SimState(j * dt, zeros, stepper.propagate_w(state.w))
+            state = SimState(j * dt, state.u, stepper.propagate_w(state.w))
         acc.push(state)
         series.append(acc.record(state))
     return series

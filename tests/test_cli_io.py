@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import os
 import resource
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import micropolar
 from micropolar.checkpoint import (
@@ -19,8 +23,15 @@ from micropolar.checkpoint import (
 )
 from micropolar.cli import main
 from micropolar.config import ConfigError, parse_config_text
-from micropolar.fields import PhysicalParams, SimState
+from micropolar.dynamics import Stepper, StepperConfig
+from micropolar.fields import (
+    PhysicalParams,
+    SimState,
+    SpectralVectorField,
+    hermitian_plane,
+)
 from micropolar.grid import make_grid
+from micropolar.operators import leray_hat
 from micropolar.runio import CSV_HEADER, DirectoryLock, OutputDirBusy, execute_run
 
 from conftest import random_spectral_field
@@ -206,13 +217,32 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, grid8, monkeypatch):
     path = tmp_path / "checkpoint.bin"
     write_checkpoint(make_state(grid8), params, path)
     before = path.read_bytes()
-    write_bytes = Path.write_bytes
+    path_open = Path.open
 
-    def half_then_fail(self, data):
-        write_bytes(self, data[: len(data) // 2])
-        raise OSError("disk full")
+    class HalfThenFail:
+        """The checkpoint's file: the disk fills halfway through the payload
+        (the header, then six components, one write each)."""
 
-    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        def __init__(self, file):
+            self.file, self.writes = file, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 4:
+                data = memoryview(data).cast("B")
+                self.file.write(data[: len(data) // 2])
+                raise OSError("disk full")
+            return self.file.write(data)
+
+    monkeypatch.setattr(
+        Path, "open", lambda self, *args: HalfThenFail(path_open(self, *args))
+    )
     with pytest.raises(OSError, match="disk full"):
         write_checkpoint(make_state(grid8, seed=5, t=2.5), params, path)
     monkeypatch.undo()
@@ -220,6 +250,76 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, grid8, monkeypatch):
     loaded, _ = read_checkpoint(path)
     assert loaded.t == 1.25
     assert list(tmp_path.iterdir()) == [path]
+
+
+def random_band_state(n, seed, t):
+    """A state drawn straight on the band: complex noise with a mean-zero,
+    exactly Hermitian kz = 0 plane, u Leray-projected."""
+    grid = make_grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        shape = (3,) + grid.band.shape
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data[:, 0, 0, 0] = 0.0
+        data[..., 0] = hermitian_plane(data, grid)
+        return data
+
+    u = leray_hat(draw(), grid)
+    return SimState(t, SpectralVectorField(grid, u), SpectralVectorField(grid, draw()))
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.sampled_from([8, 12, 16, 18]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=0.0, max_value=1e9),
+    mu=positive,
+    gamma=positive,
+    chi=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_checkpoint_round_trip_is_bitwise(n, seed, t, mu, gamma, chi):
+    state = random_band_state(n, seed, t)
+    params = PhysicalParams(mu=mu, gamma=gamma, chi=chi)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bin"
+        write_checkpoint(state, params, path)
+        assert path.stat().st_size == 52 + 2 * 3 * n**3 * 16  # full lattice
+        loaded, loaded_params = read_checkpoint(path)
+    assert loaded.t == state.t and loaded_params == params
+    assert np.array_equal(loaded.u.data, state.u.data)
+    assert np.array_equal(loaded.w.data, state.w.data)
+
+
+def test_full_lattice_checkpoint_reads_and_resumes(tmp_path, grid8):
+    """A file in the full-lattice layout every writer of this format has
+    produced (header, then the whole (3, n, n, n) u and w) reads back onto the
+    band, resumes like the state it holds, and is rewritten with the same
+    numbers (zeros may lose their sign)."""
+    u = random_spectral_field(grid8, 21, solenoidal=True)
+    w = random_spectral_field(grid8, 22)
+    params = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
+    header = struct.pack("<8sIddddd", b"MPOLAR01", 8, grid8.box_length, 0.5,
+                         params.mu, params.gamma, params.chi)
+    path = tmp_path / "full.bin"
+    path.write_bytes(header + u.data.tobytes() + w.data.tobytes())
+    loaded, loaded_params = read_checkpoint(path)
+    direct = SimState(0.5, u, w)
+    assert loaded_params == params
+    assert loaded.u.data.shape == (3,) + grid8.band.shape
+    stepper = Stepper(grid8, params, StepperConfig(dt=0.05, t_end=1.0))
+    a, b = loaded, direct
+    for _ in range(3):
+        a, b = stepper.step(a), stepper.step(b)
+    assert np.array_equal(a.u.data, b.u.data) and np.array_equal(a.w.data, b.w.data)
+    write_checkpoint(loaded, loaded_params, tmp_path / "again.bin")
+    again, first = (tmp_path / "again.bin").read_bytes(), path.read_bytes()
+    assert again[:52] == first[:52]
+    payloads = (np.frombuffer(blob, "<c16", offset=52) for blob in (again, first))
+    assert np.array_equal(*payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +391,48 @@ def test_lock_names_owner_pid(tmp_path):
         cfg = parse_config_text(small_config_text(out))
         with pytest.raises(OutputDirBusy, match=rf"pid {pid}\b"):
             execute_run(cfg)
+
+
+def exited_pid():
+    """The pid of a child process that has already exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_lock_takes_over_stale_pid(tmp_path, capsys):
+    lock_file = tmp_path / ".micropolar.lock"
+    pid = exited_pid()
+    lock_file.write_text(f"{pid}\n")
+    with DirectoryLock(tmp_path) as lock:
+        assert int(lock.path.read_text()) == os.getpid()
+    assert not lock_file.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "stale lock" in err[0] and f"pid {pid} " in err[0]
+
+
+@pytest.mark.parametrize(
+    "owner", ["self", "", "not-a-pid", "0", "-1", "99999999999999999999"]
+)
+def test_lock_busy_unless_owner_is_gone(tmp_path, capsys, owner):
+    # a live pid (this one), an unreadable or non-positive pid, and a pid
+    # os.kill cannot take all keep the directory busy
+    text = str(os.getpid()) if owner == "self" else owner
+    (tmp_path / ".micropolar.lock").write_text(text)
+    with pytest.raises(OutputDirBusy):
+        DirectoryLock(tmp_path).__enter__()
+    assert (tmp_path / ".micropolar.lock").read_text() == text
+    assert capsys.readouterr().err == ""
+
+
+def test_lock_busy_when_owner_cannot_be_signalled(tmp_path, monkeypatch):
+    def not_permitted(pid, sig):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "kill", not_permitted)
+    (tmp_path / ".micropolar.lock").write_text("4242\n")
+    with pytest.raises(OutputDirBusy, match="pid 4242"):
+        DirectoryLock(tmp_path).__enter__()
 
 
 # ---------------------------------------------------------------------------

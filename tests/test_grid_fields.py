@@ -10,7 +10,6 @@ from micropolar.fields import (
     RealVectorField,
     SimState,
     SpectralVectorField,
-    check_band,
     expand_band,
     fold_band,
     forward_band,
@@ -194,7 +193,7 @@ def test_check_band_rejects_out_of_band(grid8, index):
     data = np.zeros((3,) + grid8.shape, dtype=np.complex128)
     data[(1,) + index] = 1e-300
     with pytest.raises(ValueError, match="outside the 2/3 band"):
-        check_band(data, grid8)
+        fold_band(data, grid8)
 
 
 @pytest.mark.parametrize("n", [8, 16])
