@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    BandScratch,
     PhysicalParams,
     ScalarField,
     SimState,
     SpectralVectorField,
     fold_band,
     forward_band,
-    forward_transform,
     hermitian_plane,
     inverse_band,
     to_physical,
@@ -107,8 +107,37 @@ class InitialCondition:
 # right-hand side y_t = N(y) + L y for the pair y = (u, w)
 
 
-# row of u_i u_j among the six products with i <= j, as a symmetric table
+# the six products u_i u_j with i <= j, and the row of each in a symmetric table
+_UU_PAIRS = tuple(zip(*np.triu_indices(3)))
 _UU_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+class _Workspace:
+    """The buffers an explicit term reuses: the physical u samples, one
+    physical w component, the products being transformed, the band
+    transforms' scratch and the transformed products.  Products go one field
+    at a time, or a few on a grid small enough to batch (BandScratch.batched).
+    A stage then allocates only band-sized arrays."""
+
+    def __init__(self, grid: Grid):
+        band = grid.band.shape
+        self.scratch = BandScratch.batched(grid, 3)
+        self.u_phys = np.empty((3,) + grid.shape)
+        self.w_phys = np.empty(grid.shape)
+        self.products = np.empty((self.scratch.fields,) + grid.shape)
+        self.flux = np.empty((3,) + band, dtype=np.complex128)
+        self.uu_hat = np.empty((6,) + band, dtype=np.complex128)
+
+
+def _products_hat(factors, out: np.ndarray, grid: Grid, work: _Workspace) -> None:
+    """out[r] = forward_band(a * b) for the r-th pair (a, b) of factors."""
+    batch = len(work.products)
+    for start in range(0, len(factors), batch):
+        chunk = factors[start : start + batch]
+        for row, (a, b) in enumerate(chunk):
+            np.multiply(a, b, out=work.products[row])
+        rows = slice(start, start + len(chunk))
+        forward_band(work.products[: len(chunk)], grid, out[rows], work.scratch)
 
 
 def _explicit_w_hat(
@@ -116,19 +145,23 @@ def _explicit_w_hat(
     w_data: np.ndarray,
     grid: Grid,
     chi: float,
+    work: _Workspace | None = None,
     u_phys: np.ndarray | None = None,
 ) -> np.ndarray:
     """N_w = -div(u (x) w) + chi curl u on the band, mean mode 0.
 
-    u_phys optionally carries the physical velocity samples.
+    work (a fresh one if None) holds the buffers; u_phys optionally carries
+    the physical velocity samples.
     """
+    work = work or _Workspace(grid)
     if u_phys is None:
-        u_phys = inverse_band(u_data, grid)
-    w_phys = inverse_band(w_data, grid)
-    # row j of the flux u (x) w is u_j w; one row at a time keeps the
-    # transients small (fresh large arrays cost page faults every stage)
-    flux = np.stack([forward_band(u_j * w_phys, grid) for u_j in u_phys])
-    n_w = -divergence_hat(flux, grid)
+        u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
+    div = np.empty_like(w_data)
+    for i in range(3):  # column i of the flux u (x) w is u w_i
+        w_i = inverse_band(w_data[i], grid, work.w_phys, work.scratch)
+        _products_hat([(u_j, w_i) for u_j in u_phys], work.flux, grid, work)
+        div[i] = grid.k_dot(work.flux)
+    n_w = -(1j * div)
     if chi != 0.0:
         n_w += chi * curl_hat(u_data, grid)
     n_w[:, 0, 0, 0] = 0.0
@@ -140,6 +173,7 @@ def _explicit_hats(
     w_data: np.ndarray,
     grid: Grid,
     chi: float,
+    work: _Workspace | None = None,
     u_phys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicitly-integrated terms N(y) on the band, in flux form.
@@ -147,25 +181,19 @@ def _explicit_hats(
     Returns (N_u, N_w) with N_u = -P div(u (x) u) + chi curl w and
     N_w = -div(u (x) w) + chi curl u.  The stage states lie inside the 2/3
     band and u is discretely solenoidal, so these equal the advective forms
-    -P (u.grad)u and -(u.grad)w.  u_phys optionally carries the physical
-    velocity samples.
+    -P (u.grad)u and -(u.grad)w.  work (a fresh one if None) holds the
+    buffers; u_phys optionally carries the physical velocity samples.
     """
+    work = work or _Workspace(grid)
     if u_phys is None:
-        u_phys = inverse_band(u_data, grid)
-    # N_w first, so that its transients are freed before the products are built
-    n_w = _explicit_w_hat(u_data, w_data, grid, chi, u_phys)
-    # the six products u_i u_j (i <= j), three at a time to halve the real
-    # transient; forward_band transforms each field on its own, so the batch
-    # size leaves the result unchanged
-    uu_hat = np.empty((6,) + grid.band.shape, dtype=np.complex128)
-    products = np.empty((3,) + grid.shape)
-    pairs = list(zip(*np.triu_indices(3)))
-    for start in (0, 3):
-        for row, (i, j) in enumerate(pairs[start : start + 3]):
-            np.multiply(u_phys[i], u_phys[j], out=products[row])
-        uu_hat[start : start + 3] = forward_band(products, grid)
-    del products
-    n_u = -divergence_hat(uu_hat[_UU_ROWS], grid)
+        u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
+    n_w = _explicit_w_hat(u_data, w_data, grid, chi, work, u_phys)
+    uu_hat = work.uu_hat
+    _products_hat([(u_phys[i], u_phys[j]) for i, j in _UU_PAIRS], uu_hat, grid, work)
+    div = np.empty_like(u_data)
+    for i in range(3):
+        div[i] = grid.k_dot(uu_hat[_UU_ROWS[i]])
+    n_u = -(1j * div)
     if chi != 0.0:
         n_u += chi * curl_hat(w_data, grid)
     return leray_hat(n_u, grid), n_w
@@ -236,7 +264,8 @@ class Stepper:
     States live on the 2/3-rule band (Grid.band), and so does every stage of
     a step; the step makes the kz = 0 plane of its result exactly Hermitian
     and hands it to a SimState that checks it.  propagate_w advances a bare
-    band w with u held at 0, where it is linear.
+    band w with u held at 0, where it is linear.  The workspace that every
+    stage reuses is allocated here, once.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -245,6 +274,7 @@ class Stepper:
         self.config = config
         self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
+        self._work = _Workspace(grid)
         dt = config.dt
         dsq = grid.band.deriv_k_sq
         self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
@@ -280,7 +310,7 @@ class Stepper:
         return SpectralVectorField(g, self._apply_w(data, half=False))
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
-        vmax = float(np.abs(u_phys).max())
+        vmax = float(max(u_phys.max(), -u_phys.min()))  # max|u|, no |u| array
         self.last_vmax = vmax
         if vmax == 0.0:
             return  # no advective constraint; linear terms are exact
@@ -300,10 +330,10 @@ class Stepper:
         # stages are done with it, and is then dropped: the same operations in
         # the same order, with fewer arrays alive at once.
 
-        u_phys = inverse_band(u0, g)
+        work = self._work
+        u_phys = inverse_band(u0, g, work.u_phys, work.scratch)
         self._check_cfl(u_phys)
-        n1u, n1w = _explicit_hats(u0, w0, g, chi, u_phys)
-        del u_phys
+        n1u, n1w = _explicit_hats(u0, w0, g, chi, work, u_phys)
         self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
         eu_u0 = eu_full * u0
         ew_w0 = apply_w(w0, False)
@@ -312,19 +342,19 @@ class Stepper:
         w2 = apply_w(w0 + half * n1w, True)
         sum_u, sum_w = eu_full * n1u, apply_w(n1w, False)
         del n1u, n1w
-        n2u, n2w = _explicit_hats(u2, w2, g, chi)
+        n2u, n2w = _explicit_hats(u2, w2, g, chi, work)
         del u2, w2
 
         u3 = leray_hat(eu_half * u0 + half * n2u, g)
         w3 = apply_w(w0, True) + half * n2w
-        n3u, n3w = _explicit_hats(u3, w3, g, chi)
+        n3u, n3w = _explicit_hats(u3, w3, g, chi, work)
         del u3, w3
 
         u4 = leray_hat(eu_u0 + dt * eu_half * n3u, g)
         w4 = ew_w0 + dt * apply_w(n3w, True)
         mid_u, mid_w = n2u + n3u, n2w + n3w
         del n2u, n2w, n3u, n3w
-        n4u, n4w = _explicit_hats(u4, w4, g, chi)
+        n4u, n4w = _explicit_hats(u4, w4, g, chi, work)
         del u4, w4
 
         u_next = eu_u0 + (dt / 6.0) * (sum_u + 2.0 * eu_half * mid_u + n4u)
@@ -348,10 +378,16 @@ class Stepper:
 def evolve(state: SimState, p: PhysicalParams, cfg: StepperConfig):
     """Yield (step_index, state, stepper) for every step up to t_end.
 
+    The Stepper, and with it the workspace, is built by this call rather than
+    at the first step, so a working set too large to allocate fails here.
     Time stamps are pinned to t0 + j*dt to avoid accumulation drift; the run
     covers ceil((t_end - t0)/dt) steps.
     """
-    stepper = Stepper(state.grid, p, cfg)
+    return _steps(Stepper(state.grid, p, cfg), state)
+
+
+def _steps(stepper: Stepper, state: SimState):
+    cfg = stepper.config
     n_steps = int(np.ceil((cfg.t_end - state.t) / cfg.dt - 1e-9))
     t0 = state.t
     current = state
@@ -369,13 +405,8 @@ def evolve(state: SimState, p: PhysicalParams, cfg: StepperConfig):
 
 
 def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
-    """Deterministic initial state; u is solenoidal, both fields mean-zero.
-
-    The fields are drawn on the full lattice, like a user-built state, and
-    SimState folds them onto the band.  (A draw straight onto the band with
-    forward_band rounds differently; late in the bundled chi05 run, where
-    ||div w|| is 1e-5 of ||w||, that moves ||div w|| by 1e-13 relative.)
-    """
+    """Deterministic initial state on the band; u is solenoidal, both fields
+    mean-zero."""
     k_min = 2.0 * np.pi / grid.box_length
     k_cut = (grid.n_per_axis / 3.0) * k_min
     if not 0.0 < ic.peak_wavenumber <= k_cut:
@@ -402,34 +433,28 @@ def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
         x = (np.arange(n) * grid.spacing).reshape(n, 1, 1)
         y = (np.arange(n) * grid.spacing).reshape(1, n, 1)
         z = (np.arange(n) * grid.spacing).reshape(1, 1, n)
-        a = ic.amplitude
         u_phys = np.zeros((3,) + grid.shape)
         u_phys[0] = np.sin(kappa * x) * np.cos(kappa * y) * np.cos(kappa * z)
         u_phys[1] = -np.cos(kappa * x) * np.sin(kappa * y) * np.cos(kappa * z)
         w_phys = np.zeros((3,) + grid.shape)
         w_phys[0] = np.cos(kappa * x) * np.sin(kappa * y) * np.sin(kappa * z)
         w_phys[1] = np.sin(kappa * x) * np.cos(kappa * y) * np.sin(kappa * z)
-        u_hat = leray_hat(
-            forward_transform(u_phys) * grid.dealias_mask, grid
-        )
-        w_hat = forward_transform(w_phys) * grid.dealias_mask
+        u_hat = leray_hat(forward_band(u_phys, grid), grid)
+        w_hat = forward_band(w_phys, grid)
         w_hat[:, 0, 0, 0] = 0.0
-        u_hat *= a / np.sqrt(spectral_l2_sq(u_hat, grid))
-        w_hat *= a / np.sqrt(spectral_l2_sq(w_hat, grid))
-        return SimState(
-            0.0, SpectralVectorField(grid, u_hat), SpectralVectorField(grid, w_hat)
-        )
-
-    # random_solenoidal; the envelope width peak/4 keeps the box-scale modes
-    # strongly suppressed (they decay too slowly to be useful at desk scale)
-    rng = np.random.default_rng(ic.seed)
-    k_abs = np.sqrt(grid.k_sq)
-    sigma = ic.peak_wavenumber / 4.0
-    envelope = np.exp(-((k_abs - ic.peak_wavenumber) ** 2) / (2.0 * sigma**2))
-    u = random_band_limited(grid, rng, solenoidal=True, envelope=envelope)
-    w = random_band_limited(grid, rng, solenoidal=False, envelope=envelope)
-    u_hat = u.data * (ic.amplitude / np.sqrt(spectral_l2_sq(u.data, grid)))
-    w_hat = w.data * (ic.amplitude / np.sqrt(spectral_l2_sq(w.data, grid)))
+    else:
+        # random_solenoidal; the envelope width peak/4 keeps the box-scale
+        # modes strongly suppressed (they decay too slowly to be useful at
+        # desk scale)
+        rng = np.random.default_rng(ic.seed)
+        k_abs = np.sqrt(grid.band.k_sq)
+        sigma = ic.peak_wavenumber / 4.0
+        envelope = np.exp(-((k_abs - ic.peak_wavenumber) ** 2) / (2.0 * sigma**2))
+        u_hat = random_band_limited(grid, rng, solenoidal=True, envelope=envelope).data
+        w_hat = random_band_limited(grid, rng, solenoidal=False, envelope=envelope).data
+    for data in (u_hat, w_hat):  # an exactly Hermitian kz = 0 plane, as after a step
+        data[..., 0] = hermitian_plane(data, grid)
+        data *= ic.amplitude / np.sqrt(spectral_l2_sq(data, grid))
     return SimState(
         0.0, SpectralVectorField(grid, u_hat), SpectralVectorField(grid, w_hat)
     )

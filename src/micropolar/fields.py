@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .grid import Grid
 
@@ -93,40 +92,126 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
     """Forward DFT with 1/n^3 normalization; accepts (..., n, n, n)."""
     n3 = values.shape[-1] * values.shape[-2] * values.shape[-3]
     axes = tuple(range(values.ndim - 3, values.ndim))
-    return _fft.fftn(values, axes=axes, workers=1) / n3
+    out = values.astype(np.complex128)  # transformed in place: no temporaries
+    np.fft.fftn(out, axes=axes, out=out)
+    out /= n3
+    return out
 
 
 def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     """Inverse DFT without normalization (real part); accepts (..., n, n, n)."""
     n3 = coeffs.shape[-1] * coeffs.shape[-2] * coeffs.shape[-3]
     axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
-    return _fft.ifftn(coeffs, axes=axes, workers=1).real * n3
+    full = np.fft.ifftn(coeffs, axes=axes, out=np.empty(coeffs.shape, np.complex128))
+    return full.real * n3
 
 
-def forward_band(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """forward_transform of real samples (..., n, n, n), pruned to the band:
-    rfft along z, fft along y, fft along x, each keeping only the band's lines.
+class BandScratch:
+    """The pruning buffers of forward_band / inverse_band, for up to `fields`
+    fields at a time.
+
+    Every pass transforms the contiguous last axis; the copies between passes
+    gather the band rows and move the next axis last.  The padded buffers
+    keep zeros outside the band rows between calls.
+
+    half          (x, y, kz)  rfft along z; its first K+1 columns feed irfft
+    lines         (x, kz, y)  lines along y
+    band_lines    (ky, kz, x) lines along x
+    lines_padded, band_lines_padded: the same, zero off the band rows
     """
-    band, kz = grid.band, slice(0, grid.band.cutoff + 1)
-    out = np.empty(values.shape[:-1] + (kz.stop,), dtype=np.complex128)
-    for field in np.ndindex(values.shape[:-3]):  # no full-size rfft output held
-        out[field] = _fft.rfft(values[field], axis=-1, workers=1)[..., kz]
-    out = _fft.fft(out, axis=-2, workers=1, overwrite_x=True)[..., band.rows, :]
-    out = _fft.fft(out, axis=-3, workers=1, overwrite_x=True)[..., band.rows, :, :]
-    out *= 1.0 / grid.n_per_axis**3
+
+    # an allocating transform batches as many fields as fit in this many
+    # bytes: small grids save calls, large ones keep one field's buffers
+    BATCH_BYTES = 1 << 20
+
+    def __init__(self, grid: Grid, fields: int = 1):
+        n, k = grid.n_per_axis, grid.band.cutoff
+        self.fields = fields
+        self.half = np.empty((fields, n, n, n // 2 + 1), dtype=np.complex128)
+        self.lines = np.empty((fields, n, k + 1, n), dtype=np.complex128)
+        self.lines_padded = np.zeros_like(self.lines)
+        self.band_lines = np.empty((fields, 2 * k + 1, k + 1, n), dtype=np.complex128)
+        self.band_lines_padded = np.zeros_like(self.band_lines)
+
+    @classmethod
+    def batched(cls, grid: Grid, count: int) -> "BandScratch":
+        n, k = grid.n_per_axis, grid.band.cutoff
+        field_bytes = 16 * n * (n * (n // 2 + 1) + 2 * (k + 1) * (n + 2 * k + 1))
+        return cls(grid, max(1, min(count, cls.BATCH_BYTES // field_bytes)))
+
+
+def _forward(values, out, grid, s: BandScratch) -> None:
+    """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
+    n, k, m = grid.n_per_axis, grid.band.cutoff, len(values)
+    half, lines, band_lines = s.half[:m], s.lines[:m], s.band_lines[:m]
+    np.fft.rfft(values, axis=-1, out=half)
+    np.copyto(lines, half[..., : k + 1].transpose(0, 1, 3, 2))
+    np.fft.fft(lines, axis=-1, out=lines)
+    band_lines[:, : k + 1] = lines[..., : k + 1].transpose(0, 3, 2, 1)
+    band_lines[:, k + 1 :] = lines[..., n - k :].transpose(0, 3, 2, 1)
+    np.fft.fft(band_lines, axis=-1, out=band_lines)
+    scale = 1.0 / n**3
+    np.multiply(band_lines[..., : k + 1].transpose(0, 3, 1, 2), scale, out=out[:, : k + 1])
+    np.multiply(band_lines[..., n - k :].transpose(0, 3, 1, 2), scale, out=out[:, k + 1 :])
+
+
+def _inverse(coeffs, out, grid, s: BandScratch) -> None:
+    """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
+    n, k, m = grid.n_per_axis, grid.band.cutoff, len(coeffs)
+    padded, band_lines = s.band_lines_padded[:m], s.band_lines[:m]
+    padded[..., : k + 1] = coeffs[:, : k + 1].transpose(0, 2, 3, 1)
+    padded[..., n - k :] = coeffs[:, k + 1 :].transpose(0, 2, 3, 1)
+    np.fft.ifft(padded, axis=-1, norm="forward", out=band_lines)
+    padded, lines = s.lines_padded[:m], s.lines[:m]
+    padded[..., : k + 1] = band_lines[:, : k + 1].transpose(0, 3, 2, 1)
+    padded[..., n - k :] = band_lines[:, k + 1 :].transpose(0, 3, 2, 1)
+    np.fft.ifft(padded, axis=-1, norm="forward", out=lines)
+    half = s.half[:m, ..., : k + 1]
+    np.copyto(half, lines.transpose(0, 1, 3, 2))
+    np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out)
+
+
+def _by_fields(step, data, out, grid, scratch) -> None:
+    """step over the fields of data (..., 3-D) into C-contiguous out, in
+    batches of scratch.fields (BandScratch.batched when scratch is None)."""
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    data = data.reshape((-1,) + data.shape[-3:])
+    out = out.reshape((-1,) + out.shape[-3:])
+    scratch = scratch or BandScratch.batched(grid, len(data))
+    for start in range(0, len(data), scratch.fields):
+        batch = slice(start, start + scratch.fields)
+        step(data[batch], out[batch], grid, scratch)
+
+
+def forward_band(
+    values: np.ndarray,
+    grid: Grid,
+    out: np.ndarray | None = None,
+    scratch: BandScratch | None = None,
+) -> np.ndarray:
+    """forward_transform of real samples (..., n, n, n), pruned to the band:
+    rfft along z, fft along y, fft along x, each keeping only the band's
+    lines.  Writes into out (C-contiguous) and reuses scratch when given."""
+    if out is None:
+        out = np.empty(values.shape[:-3] + grid.band.shape, dtype=np.complex128)
+    _by_fields(_forward, values, out, grid, scratch)
     return out
 
 
-def inverse_band(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def inverse_band(
+    coeffs: np.ndarray,
+    grid: Grid,
+    out: np.ndarray | None = None,
+    scratch: BandScratch | None = None,
+) -> np.ndarray:
     """Physical samples (..., n, n, n) of band coefficients: forward_band
-    mirrored, zero-padding each axis before its transform."""
-    n, rows = grid.n_per_axis, grid.band.rows
-    x = np.zeros(coeffs.shape[:-3] + (n,) + coeffs.shape[-2:], dtype=np.complex128)
-    x[..., rows, :, :] = coeffs
-    y = np.zeros(x.shape[:-2] + (n, x.shape[-1]), dtype=np.complex128)
-    y[..., rows, :] = _fft.ifft(x, axis=-3, workers=1, norm="forward", overwrite_x=True)
-    y = _fft.ifft(y, axis=-2, workers=1, norm="forward", overwrite_x=True)
-    return _fft.irfft(y, n=n, axis=-1, workers=1, norm="forward")
+    mirrored, zero-padding each axis before its transform.  out and scratch
+    as for forward_band."""
+    if out is None:
+        out = np.empty(coeffs.shape[:-3] + grid.shape)
+    _by_fields(_inverse, coeffs, out, grid, scratch)
+    return out
 
 
 def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:

@@ -22,17 +22,18 @@ class Band:
 
     f(-k) = conj f(k) gives the rest.  K (cutoff) = n//3 is the largest
     index kept, so there is no Nyquist plane.  Axes are in FFT order:
-    0..K then n-K..n-1 on x and y (rows), 0..K on z.  dkx, dky, dkz, k_sq,
-    deriv_k_sq and inv_deriv_k_sq are the Grid symbols on the band (k_sq
-    equals deriv_k_sq there); weight is the multiplicity of a kz index, 1 on
-    kz = 0 and 2 elsewhere.
+    0..K then n-K..n-1 on x and y (rows), 0..K on z; index picks the band out
+    of a full (n, n, n) array.  dkx, dky, dkz, k_sq, deriv_k_sq and
+    inv_deriv_k_sq are the Grid symbols on the band (k_sq equals deriv_k_sq
+    there); weight is the multiplicity of a kz index, 1 on kz = 0 and 2
+    elsewhere.
     """
 
     def __init__(self, grid: "Grid"):
         n = grid.n_per_axis
         k = self.cutoff = int(np.count_nonzero(grid.dealias_mask[:, 0, 0])) // 2
         rows = self.rows = np.r_[0 : k + 1, n - k : n]
-        cube = np.ix_(rows, rows, np.arange(k + 1))
+        cube = self.index = np.ix_(rows, rows, np.arange(k + 1))
         self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
         self.dkz = grid.dkz[..., : k + 1]
         self.shape = (2 * k + 1, 2 * k + 1, k + 1)

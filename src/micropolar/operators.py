@@ -18,7 +18,6 @@ from .fields import (
     SpectralVectorField,
     forward_band,
     forward_transform,
-    inverse_transform,
     to_physical,
     to_spectral,
 )
@@ -211,15 +210,16 @@ def random_band_limited(
     solenoidal: bool = False,
     envelope: np.ndarray | None = None,
 ) -> SpectralVectorField:
-    """Mean-zero random field inside the dealiased band.
+    """Mean-zero random field on the 2/3 band: forward_band of white noise.
 
-    envelope, if given, multiplies the flat white-noise spectrum (any real
-    radial profile keeps the Hermitian symmetry of the noise).
+    envelope, if given on the band or the full lattice (then gathered onto
+    the band), multiplies the flat white-noise spectrum (any real radial
+    profile keeps the Hermitian symmetry of the noise).
     """
-    noise = rng.standard_normal((3,) + grid.shape)
-    data = forward_transform(noise) * grid.dealias_mask
+    data = forward_band(rng.standard_normal((3,) + grid.shape), grid)
     if envelope is not None:
-        data *= envelope
+        band = grid.band
+        data *= envelope if grid.lattice(envelope) is band else envelope[band.index]
     data[:, 0, 0, 0] = 0.0
     if solenoidal:
         data = leray_hat(data, grid)
@@ -237,14 +237,14 @@ def calibration_ensemble(count: int = 1000, n: int = 32, seed: int = 20240917):
 
     grid = make_grid(n, 2.0 * np.pi)
     rng = np.random.default_rng(seed)
-    k_abs = np.sqrt(grid.k_sq)
+    k_abs = np.sqrt(grid.band.k_sq)
     k_cut = (n / 3.0) * (2.0 * np.pi / grid.box_length)
     for _ in range(count):
         center = rng.uniform(1.0, 0.8 * k_cut)
         width = center * 10.0 ** rng.uniform(-1.5, 0.3)
         envelope = np.exp(-((k_abs - center) ** 2) / (2.0 * width**2))
         spec = random_band_limited(grid, rng, envelope=envelope)
-        yield RealVectorField(grid, inverse_transform(spec.data))
+        yield RealVectorField(grid, to_physical(spec.data, grid))
 
 
 def calibrate_c_infty(count: int = 1000, n: int = 32, seed: int = 20240917) -> float:

@@ -163,9 +163,16 @@ def execute_run(
 
     CflError / SimulationDiverged propagate to the caller after the abort
     diagnostics and the last good checkpoint are written; ConfigError is
-    raised when the output directory cannot be created.
+    raised, before anything is written, when the initial fields or the
+    stepper's workspace cannot be allocated (key grid.n), and when the output
+    directory cannot be created.
     """
     p = params if params is not None else config.params
+    try:
+        state = initial if initial is not None else make_initial(config.ic, config.grid)
+        steps = evolve(state, p, config.stepper)
+    except MemoryError:
+        raise ConfigError("working set too large to allocate", key="grid.n") from None
     out_dir = config.output.directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,7 +186,6 @@ def execute_run(
     report_path = out_dir / "report.txt"
 
     with DirectoryLock(out_dir):
-        state = initial if initial is not None else make_initial(config.ic, config.grid)
         acc = RunAccumulator(p, dt=config.stepper.dt)
         acc.push(state)
         records = [acc.record(state)]
@@ -190,7 +196,7 @@ def execute_run(
             csv_file.write(CSV_HEADER)
             csv_file.write(format_csv_row(records[0]))
             try:
-                for j, state, _ in evolve(state, p, config.stepper):
+                for j, state, _ in steps:
                     acc.push(state)
                     last_good = state
                     if j % cadence == 0:

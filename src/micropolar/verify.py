@@ -27,6 +27,7 @@ from .fields import (
     ScalarField,
     SimState,
     SpectralVectorField,
+    expand_band,
     to_real,
     to_spectral,
     zero_spectral,
@@ -241,7 +242,7 @@ def suite_lemma1() -> list[CheckResult]:
     fine = make_grid(2 * coarse.n_per_axis, coarse.box_length)
     embedded = np.zeros((3,) + fine.shape, dtype=np.complex128)
     idx = np.rint(coarse.k1 / (2.0 * np.pi / coarse.box_length)).astype(int)
-    embedded[np.ix_(np.arange(3), idx, idx, idx)] = spec.data
+    embedded[np.ix_(np.arange(3), idx, idx, idx)] = expand_band(spec.data, coarse)
     r_fine = gn_ratio_infty(to_real(SpectralVectorField(fine, embedded)))
     results.append(
         _check(

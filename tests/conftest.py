@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from micropolar.fields import RealVectorField, SpectralVectorField
+from micropolar.fields import RealVectorField, SpectralVectorField, expand_band
 from micropolar.grid import Grid, make_grid
 from micropolar.operators import random_band_limited
 from micropolar.operators import single_mode as single_mode_field  # noqa: F401 (shared builder)
@@ -29,6 +29,8 @@ def random_real_field(grid: Grid, seed: int) -> RealVectorField:
 def random_spectral_field(
     grid: Grid, seed: int, solenoidal: bool = False
 ) -> SpectralVectorField:
-    """Dealiased, mean-zero random field (solenoidal on request)."""
+    """Dealiased, mean-zero random field (solenoidal on request), on the
+    full lattice."""
     rng = np.random.default_rng(seed)
-    return random_band_limited(grid, rng, solenoidal=solenoidal)
+    band = random_band_limited(grid, rng, solenoidal=solenoidal).data
+    return SpectralVectorField(grid, expand_band(band, grid))

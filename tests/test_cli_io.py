@@ -572,22 +572,40 @@ def test_cli_resume_out_of_band_exit_2(tmp_path, capsys):
     assert not (out_dir / "abort.txt").exists()
 
 
-def run_cli_process(cfg, **kwargs):
-    """`python -m micropolar.cli run <cfg>` in a fresh interpreter."""
-    # The child imports the same package as this session, installed or from src/.
+def child_env():
+    """Environment of a fresh interpreter that imports the same package as
+    this session, installed or from src/."""
     import_path = [str(Path(micropolar.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         import_path.append(os.environ["PYTHONPATH"])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)}
+
+
+def run_cli_process(cfg, code=None, **kwargs):
+    """`python -m micropolar.cli run <cfg>` in a fresh interpreter, or
+    `python -c <code> <cfg>` when code is given."""
+    command = ["-m", "micropolar.cli", "run"] if code is None else ["-c", code]
     return subprocess.run(
-        [sys.executable, "-m", "micropolar.cli", "run", str(cfg)],
+        [sys.executable, *command, str(cfg)],
         capture_output=True,
         text=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.pathsep.join(import_path),
-        },
+        env=child_env(),
         **kwargs,
     )
+
+
+def test_import_loads_no_scipy():
+    """numpy.fft is the one FFT library: importing the package, its verifier
+    and its CLI loads no scipy module."""
+    code = (
+        "import sys, micropolar, micropolar.verify, micropolar.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point(tmp_path):
@@ -613,4 +631,30 @@ def test_cli_unallocatable_grid_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'grid.n'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmSize")
+def test_cli_unallocatable_workspace_exit_2(tmp_path):
+    """A grid.n whose lattice fits but whose run working set (initial fields
+    and stepper workspace) does not exits 2 with one error line, before any
+    output is written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(small_config_text(tmp_path / "out").replace("grid.n = 8", "grid.n = 128"))
+    # At n = 128 the Grid and the initial draw fit in about 205 MB above what
+    # the child holds after import, and the workspace needs about 165 MB more
+    # (the run allocates the workspace from about 290 MB).  The child limits
+    # its own address space to the middle of that window.
+    code = (
+        "import resource, sys\n"
+        "import micropolar.cli\n"
+        "status = open('/proc/self/status').read().split('VmSize:')[1]\n"
+        "limit = int(status.split()[0]) * 1024 + (245 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(micropolar.cli.main(['run', sys.argv[1]]))\n"
+    )
+    proc = run_cli_process(cfg, code=code, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert err == ["error: [key 'grid.n'] working set too large to allocate"]
     assert not (tmp_path / "out").exists()

@@ -351,18 +351,20 @@ def test_step_power_matches_energy_power(grid16):
 
 
 def test_step_working_set():
-    """Traced peak of one n=32 step, in (3, n, n, n) float64 fields: 7.1 with
-    band storage and each stage's N(y) dropped once used; 10.7 if stages are
-    all kept alive, 11.6 with full-lattice storage."""
+    """Traced peak of building a Stepper and taking one n=32 step, in
+    (3, n, n, n) float64 fields: 7.8, of which the stepper's workspace (u
+    samples, one w component, one product, the band transforms' scratch and
+    the transformed products) is 4.0.  Fresh per-stage transients in place
+    of the workspace peaked at 7.4, full-lattice storage at 11.6."""
     import tracemalloc
 
     grid = make_grid(32, 2.0 * np.pi)
     state = make_initial(InitialCondition("random_solenoidal", 4.0, 1.0, seed=5), grid)
-    stepper = Stepper(grid, PARAMS, StepperConfig(dt=0.01, t_end=1.0))
-    state = stepper.step(state)  # first-call setup out of the trace
+    config = StepperConfig(dt=0.01, t_end=1.0)
+    Stepper(grid, PARAMS, config).step(state)  # first-call setup out of the trace
     tracemalloc.start()
     try:
-        stepper.step(state)
+        Stepper(grid, PARAMS, config).step(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

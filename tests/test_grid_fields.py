@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.fft import rfftn
+from numpy.fft import rfftn
 
 from micropolar.fields import (
+    BandScratch,
     RealVectorField,
     SimState,
     SpectralVectorField,
@@ -171,6 +172,23 @@ def test_band_transform_round_trip(n):
     f = to_real(random_spectral_field(grid, seed=13)).data
     back = inverse_band(forward_band(f, grid), grid)
     assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])  # 18: 1/n^3 is not a power of two
+def test_band_transforms_into_buffers_match_allocating_path(n):
+    """Caller buffers and one scratch reused across fields and directions give
+    the allocating path's bits: the padded rows stay zero between calls."""
+    grid = make_grid(n, 2.0 * np.pi)
+    scratch = BandScratch(grid)
+    for seed in (15, 16):
+        values = random_real_field(grid, seed=seed).data
+        coeffs = forward_band(values, grid)
+        out = np.full_like(coeffs, np.nan)
+        assert forward_band(values, grid, out, scratch) is out
+        assert np.array_equal(out, coeffs)
+        back = np.full_like(values, np.nan)
+        assert inverse_band(coeffs, grid, back, scratch) is back
+        assert np.array_equal(back, inverse_band(coeffs, grid))
 
 
 @pytest.mark.parametrize("n", [8, 18])

@@ -9,6 +9,7 @@ from micropolar.fields import (
     RealVectorField,
     ScalarField,
     SpectralVectorField,
+    expand_band,
     to_real,
 )
 from micropolar.grid import make_grid
@@ -370,7 +371,7 @@ def test_gn_infty_refinement_stability(seed):
     fine = make_grid(64, 2.0 * np.pi)
     embedded = np.zeros((3,) + fine.shape, dtype=np.complex128)
     idx = np.rint(coarse.k1 / (2.0 * np.pi / coarse.box_length)).astype(int)
-    embedded[np.ix_(np.arange(3), idx, idx, idx)] = f.data
+    embedded[np.ix_(np.arange(3), idx, idx, idx)] = expand_band(f.data, coarse)
     r_fine = gn_ratio_infty(to_real(SpectralVectorField(fine, embedded)))
     assert abs(r_fine - r_coarse) <= 0.02 * r_coarse
 
