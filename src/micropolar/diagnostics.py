@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, inverse_band
+from .fields import BandScratch, PhysicalParams, SimState, inverse_band
 from .norms import l2, l2_div, l2_grad, l2_grad2
 from .operators import CALIBRATED_C_INFTY, epsilon_cross_integral
 from .quadrature import RunningIntegral
@@ -190,6 +190,20 @@ def fit_decay(series, fit_window: tuple[float, float]) -> DecayFit:
 # per-step accumulation for the run driver
 
 
+def _sup_norms(fields, grid) -> list[float]:
+    """max over components and points of |f| for each band field, one
+    component at a time through one sample buffer and one scratch."""
+    samples, scratch = np.empty(grid.shape), BandScratch(grid)
+    sups = []
+    for data in fields:
+        sup = 0.0
+        for component in data:
+            x = inverse_band(component, grid, samples, scratch)
+            sup = max(sup, float(x.max()), float(-x.min()))
+        sups.append(sup)
+    return sups
+
+
 class RunAccumulator:
     """Per-step ledger accumulation with end-corrected trapezoid integrals.
 
@@ -232,8 +246,7 @@ class RunAccumulator:
         l2_u = l2(u)
         l2_w, l2_du, l2_dw, l2_divw = self._norms
         d2u, d2w = l2_grad2(u), l2_grad2(w)
-        linf_u = float(np.abs(inverse_band(u.data, g)).max())
-        linf_w = float(np.abs(inverse_band(w.data, g)).max())
+        linf_u, linf_w = _sup_norms((u.data, w.data), g)
         l2_pair = float(np.hypot(l2_u, l2_w))
         int_du_sq, int_dw_sq = self._du.value, self._dw.value
         int_divw_sq, int_w_sq = self._divw.value, self._w.value

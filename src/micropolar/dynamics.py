@@ -32,7 +32,6 @@ from .operators import (
     advect_hat,
     curl_hat,
     divergence_hat,
-    grad_div_hat,
     leray_hat,
     random_band_limited,
     single_mode,
@@ -107,17 +106,19 @@ class InitialCondition:
 # right-hand side y_t = N(y) + L y for the pair y = (u, w)
 
 
-# the six products u_i u_j with i <= j, and the row of each in a symmetric table
+# the six products u_i u_j with i <= j and their (row, axis) terms in
+# div(u (x) u): dk_j u_i u_j in row i and dk_i u_i u_j in row j.  In this order
+# every row receives its x, y, z terms in turn, as Grid.k_dot adds them
 _UU_PAIRS = tuple(zip(*np.triu_indices(3)))
-_UU_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_UU_TERMS = tuple({(i, j), (j, i)} for i, j in _UU_PAIRS)
 
 
 class _Workspace:
     """The buffers an explicit term reuses: the physical u samples, one
     physical w component, the products being transformed, the band
-    transforms' scratch and the transformed products.  Products go one field
-    at a time, or a few on a grid small enough to batch (BandScratch.batched).
-    A stage then allocates only band-sized arrays."""
+    transforms' scratch, their band output and one band component for a term
+    being added.  Products go one field at a time, or a few on a grid small
+    enough to batch (BandScratch.batched)."""
 
     def __init__(self, grid: Grid):
         band = grid.band.shape
@@ -125,19 +126,41 @@ class _Workspace:
         self.u_phys = np.empty((3,) + grid.shape)
         self.w_phys = np.empty(grid.shape)
         self.products = np.empty((self.scratch.fields,) + grid.shape)
-        self.flux = np.empty((3,) + band, dtype=np.complex128)
-        self.uu_hat = np.empty((6,) + band, dtype=np.complex128)
+        self.hats = np.empty((self.scratch.fields,) + band, dtype=np.complex128)
+        self.term = np.empty(band, dtype=np.complex128)
 
 
-def _products_hat(factors, out: np.ndarray, grid: Grid, work: _Workspace) -> None:
-    """out[r] = forward_band(a * b) for the r-th pair (a, b) of factors."""
+def _flux_divergence(products, terms, div: np.ndarray, grid: Grid, work: _Workspace):
+    """div[row] = sum over the (row, axis) terms of the products (a, b) of
+    dk_axis F(a * b), F = forward_band: each transformed product is added into
+    its rows at once, each row's terms in x, y, z order (x sets the row)."""
+    band = grid.band
+    dks = (band.dkx, band.dky, band.dkz)
     batch = len(work.products)
-    for start in range(0, len(factors), batch):
-        chunk = factors[start : start + batch]
+    for start in range(0, len(products), batch):
+        chunk = products[start : start + batch]
         for row, (a, b) in enumerate(chunk):
             np.multiply(a, b, out=work.products[row])
-        rows = slice(start, start + len(chunk))
-        forward_band(work.products[: len(chunk)], grid, out[rows], work.scratch)
+        hats = forward_band(
+            work.products[: len(chunk)], grid, work.hats[: len(chunk)], work.scratch
+        )
+        for hat, rows in zip(hats, terms[start : start + batch]):
+            for row, axis in rows:
+                if axis == 0:
+                    np.multiply(dks[0], hat, out=div[row])
+                else:
+                    div[row] += np.multiply(dks[axis], hat, out=work.term)
+
+
+def _from_divergence(
+    div: np.ndarray, chi: float, coupled: np.ndarray, grid: Grid
+) -> None:
+    """div -> -i div + chi curl(coupled), in place."""
+    np.multiply(1j, div, out=div)
+    np.negative(div, out=div)
+    if chi != 0.0:
+        curl = curl_hat(coupled, grid)
+        div += np.multiply(chi, curl, out=curl)
 
 
 def _explicit_w_hat(
@@ -147,23 +170,22 @@ def _explicit_w_hat(
     chi: float,
     work: _Workspace | None = None,
     u_phys: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """N_w = -div(u (x) w) + chi curl u on the band, mean mode 0.
 
     work (a fresh one if None) holds the buffers; u_phys optionally carries
-    the physical velocity samples.
+    the physical velocity samples; out (not w_data) receives N_w when given.
     """
     work = work or _Workspace(grid)
     if u_phys is None:
         u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
-    div = np.empty_like(w_data)
+    n_w = np.empty_like(w_data) if out is None else out
     for i in range(3):  # column i of the flux u (x) w is u w_i
         w_i = inverse_band(w_data[i], grid, work.w_phys, work.scratch)
-        _products_hat([(u_j, w_i) for u_j in u_phys], work.flux, grid, work)
-        div[i] = grid.k_dot(work.flux)
-    n_w = -(1j * div)
-    if chi != 0.0:
-        n_w += chi * curl_hat(u_data, grid)
+        products = [(u_j, w_i) for u_j in u_phys]
+        _flux_divergence(products, [{(i, j)} for j in range(3)], n_w, grid, work)
+    _from_divergence(n_w, chi, u_data, grid)
     n_w[:, 0, 0, 0] = 0.0
     return n_w
 
@@ -175,6 +197,7 @@ def _explicit_hats(
     chi: float,
     work: _Workspace | None = None,
     u_phys: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicitly-integrated terms N(y) on the band, in flux form.
 
@@ -182,31 +205,35 @@ def _explicit_hats(
     N_w = -div(u (x) w) + chi curl u.  The stage states lie inside the 2/3
     band and u is discretely solenoidal, so these equal the advective forms
     -P (u.grad)u and -(u.grad)w.  work (a fresh one if None) holds the
-    buffers; u_phys optionally carries the physical velocity samples.
+    buffers; u_phys optionally carries the physical velocity samples; out
+    (arrays other than u_data and w_data) receives (N_u, N_w) when given.
     """
     work = work or _Workspace(grid)
     if u_phys is None:
         u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
-    n_w = _explicit_w_hat(u_data, w_data, grid, chi, work, u_phys)
-    uu_hat = work.uu_hat
-    _products_hat([(u_phys[i], u_phys[j]) for i, j in _UU_PAIRS], uu_hat, grid, work)
-    div = np.empty_like(u_data)
-    for i in range(3):
-        div[i] = grid.k_dot(uu_hat[_UU_ROWS[i]])
-    n_u = -(1j * div)
-    if chi != 0.0:
-        n_u += chi * curl_hat(w_data, grid)
-    return leray_hat(n_u, grid), n_w
+    n_u, n_w = (None, None) if out is None else out
+    n_w = _explicit_w_hat(u_data, w_data, grid, chi, work, u_phys, n_w)
+    n_u = np.empty_like(u_data) if n_u is None else n_u
+    products = [(u_phys[i], u_phys[j]) for i, j in _UU_PAIRS]
+    _flux_divergence(products, _UU_TERMS, n_u, grid, work)
+    _from_divergence(n_u, chi, w_data, grid)
+    return leray_hat(n_u, grid, out=n_u), n_w
 
 
-def _linear_hats(
+def _linear_components(
     u_data: np.ndarray, w_data: np.ndarray, grid: Grid, p: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """L y: (mu+chi) Lap u and gamma Lap w + grad(div w) - 2 chi w."""
-    dsq = grid.band.deriv_k_sq
-    l_u = -(p.mu + p.chi) * dsq * u_data
-    l_w = -p.gamma * dsq * w_data + grad_div_hat(w_data, grid) - 2.0 * p.chi * w_data
-    return l_u, l_w
+):
+    """L y one component at a time: yields the c-th components of
+    (mu+chi) Lap u and of gamma Lap w + grad(div w) - 2 chi w, c = 0, 1, 2."""
+    band = grid.band
+    coef_u = -(p.mu + p.chi) * band.deriv_k_sq
+    coef_w = -p.gamma * band.deriv_k_sq
+    div = divergence_hat(w_data, grid)
+    for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
+        l_w = coef_w * w_data[component]
+        l_w += 1j * dk * div
+        l_w -= 2.0 * p.chi * w_data[component]
+        yield coef_u * u_data[component], l_w
 
 
 def _power(
@@ -218,10 +245,16 @@ def _power(
     p: PhysicalParams,
 ) -> float:
     """Pair-energy production 2<y, N(y) + L y> of band y, N(y)."""
-    l_u, l_w = _linear_hats(u_data, w_data, grid, p)
     # elementwise, not np.vdot: a threaded BLAS dot can stall for milliseconds
-    flow = np.conj(u_data) * (n_u + l_u) + np.conj(w_data) * (n_w + l_w)
-    return 2.0 * grid.volume * float(grid.mode_sum(flow.real))
+    flow = np.empty(u_data.shape)
+    linear = _linear_components(u_data, w_data, grid, p)
+    for component, (l_u, l_w) in enumerate(linear):
+        l_u += n_u[component]
+        l_w += n_w[component]
+        np.multiply(np.conj(u_data[component]), l_u, out=l_u)
+        l_u += np.multiply(np.conj(w_data[component]), l_w, out=l_w)
+        flow[component] = l_u.real
+    return 2.0 * grid.volume * float(grid.mode_sum(flow))
 
 
 def rhs(
@@ -231,8 +264,10 @@ def rhs(
     on the band."""
     g, u0, w0 = state.grid, state.u.data, state.w.data
     n_u, n_w = _explicit_hats(u0, w0, g, p.chi)
-    l_u, l_w = _linear_hats(u0, w0, g, p)
-    return SpectralVectorField(g, n_u + l_u), SpectralVectorField(g, n_w + l_w)
+    for component, (l_u, l_w) in enumerate(_linear_components(u0, w0, g, p)):
+        n_u[component] += l_u
+        n_w[component] += l_w
+    return SpectralVectorField(g, n_u), SpectralVectorField(g, n_w)
 
 
 def energy_power(state: SimState, p: PhysicalParams) -> float:
@@ -265,7 +300,9 @@ class Stepper:
     a step; the step makes the kz = 0 plane of its result exactly Hermitian
     and hands it to a SimState that checks it.  propagate_w advances a bare
     band w with u held at 0, where it is linear.  The workspace that every
-    stage reuses is allocated here, once.
+    stage reuses and the step's band buffers (the running sum of the stage
+    terms and two stage terms) are allocated here, once; each step allocates
+    the stage state, which becomes its result.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, config: StepperConfig):
@@ -275,6 +312,9 @@ class Stepper:
         self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
         self._work = _Workspace(grid)
+        self._pair = (2, 3) + grid.band.shape
+        self._sum = np.empty(self._pair, complex)
+        self._terms = np.empty((2,) + self._pair, complex)
         dt = config.dt
         dsq = grid.band.deriv_k_sq
         self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
@@ -286,16 +326,21 @@ class Stepper:
         self._bw_half = np.expm1(-dsq * (dt / 2.0))
         self._bw_full = np.expm1(-dsq * dt)
 
-    def _apply_w(self, data: np.ndarray, half: bool) -> np.ndarray:
-        """Exact linear w propagator over dt/2 or dt, on band data."""
+    def _apply_w(
+        self, data: np.ndarray, half: bool, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact linear w propagator over dt/2 or dt, on band data; into out
+        when given, which may be data itself."""
         band = self.grid.band
-        factor = self.grid.k_dot(data) * band.inv_deriv_k_sq
+        factor = self.grid.k_dot(data)
+        factor *= band.inv_deriv_k_sq
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
-        out = np.empty_like(data)
-        out[0] = e * (data[0] + b * band.dkx * factor)
-        out[1] = e * (data[1] + b * band.dky * factor)
-        out[2] = e * (data[2] + b * band.dkz * factor)
+        out = np.empty_like(data) if out is None else out
+        for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
+            along = b * dk * factor
+            along += data[component]
+            np.multiply(e, along, out=out[component])
         return out
 
     def propagate_w(self, w: SpectralVectorField) -> SpectralVectorField:
@@ -326,40 +371,61 @@ class Stepper:
         half = dt / 2.0
         eu_half, eu_full, apply_w = self._eu_half, self._eu_full, self._apply_w
         u0, w0 = state.u.data, state.w.data
-        # Each stage's N(y) enters the final combination as soon as the later
-        # stages are done with it, and is then dropped: the same operations in
-        # the same order, with fewer arrays alive at once.
-
+        # y_next = E y0 + dt/6 (E N1 + 2 E_half (N2 + N3) + N4), E_half and E
+        # the linear propagators over dt/2 and dt (apply_w for w), evaluated
+        # in the stepper's buffers: the running sum takes each stage term as
+        # soon as the later stages are done with it, and E y0 is recomputed
+        # where it is needed.  Every value comes from the same operations in
+        # the same order as the plain expressions, so the result is theirs
+        # bit for bit.
         work = self._work
+        (yu, yw), (su, sw) = np.empty(self._pair, complex), self._sum
+        (au, aw), (bu, bw) = self._terms
         u_phys = inverse_band(u0, g, work.u_phys, work.scratch)
         self._check_cfl(u_phys)
-        n1u, n1w = _explicit_hats(u0, w0, g, chi, work, u_phys)
-        self.last_power = _power(u0, w0, n1u, n1w, g, self.params)
-        eu_u0 = eu_full * u0
-        ew_w0 = apply_w(w0, False)
+        _explicit_hats(u0, w0, g, chi, work, u_phys, out=(su, sw))  # N1
+        self.last_power = _power(u0, w0, su, sw, g, self.params)
 
-        u2 = leray_hat(eu_half * (u0 + half * n1u), g)
-        w2 = apply_w(w0 + half * n1w, True)
-        sum_u, sum_w = eu_full * n1u, apply_w(n1w, False)
-        del n1u, n1w
-        n2u, n2w = _explicit_hats(u2, w2, g, chi, work)
-        del u2, w2
+        # y2 = (E_half (u0 + dt/2 N1u), E_half^w (w0 + dt/2 N1w))
+        np.multiply(half, su, out=yu)
+        yu += u0
+        leray_hat(np.multiply(eu_half, yu, out=yu), g, out=yu)
+        np.multiply(half, sw, out=yw)
+        yw += w0
+        apply_w(yw, True, out=yw)
+        np.multiply(eu_full, su, out=su)  # sum = E N1
+        apply_w(sw, False, out=sw)
+        _explicit_hats(yu, yw, g, chi, work, out=(au, aw))  # N2
 
-        u3 = leray_hat(eu_half * u0 + half * n2u, g)
-        w3 = apply_w(w0, True) + half * n2w
-        n3u, n3w = _explicit_hats(u3, w3, g, chi, work)
-        del u3, w3
+        # y3 = (E_half u0 + dt/2 N2u, E_half^w w0 + dt/2 N2w)
+        np.multiply(eu_half, u0, out=yu)
+        yu += np.multiply(half, au, out=bu)
+        leray_hat(yu, g, out=yu)
+        apply_w(w0, True, out=yw)
+        yw += np.multiply(half, aw, out=bw)
+        _explicit_hats(yu, yw, g, chi, work, out=(bu, bw))  # N3
 
-        u4 = leray_hat(eu_u0 + dt * eu_half * n3u, g)
-        w4 = ew_w0 + dt * apply_w(n3w, True)
-        mid_u, mid_w = n2u + n3u, n2w + n3w
-        del n2u, n2w, n3u, n3w
-        n4u, n4w = _explicit_hats(u4, w4, g, chi, work)
-        del u4, w4
+        # sum += 2 E_half (N2 + N3); y4 = (E u0 + dt E_half N3u,
+        # E^w w0 + dt E_half^w N3w)
+        au += bu
+        su += np.multiply(2.0 * eu_half, au, out=au)
+        aw += bw
+        sw += np.multiply(2.0, apply_w(aw, True, out=aw), out=aw)
+        np.multiply(eu_full, u0, out=yu)
+        yu += np.multiply(dt * eu_half, bu, out=au)
+        leray_hat(yu, g, out=yu)
+        apply_w(w0, False, out=yw)
+        yw += np.multiply(dt, apply_w(bw, True, out=aw), out=aw)
+        _explicit_hats(yu, yw, g, chi, work, out=(au, aw))  # N4
 
-        u_next = eu_u0 + (dt / 6.0) * (sum_u + 2.0 * eu_half * mid_u + n4u)
-        u_next = leray_hat(u_next, g)
-        w_next = ew_w0 + (dt / 6.0) * (sum_w + 2.0 * apply_w(mid_w, True) + n4w)
+        # y_next = E y0 + dt/6 (sum + N4), in the stage state's buffers
+        su += au
+        u_next = np.multiply(eu_full, u0, out=yu)
+        u_next += np.multiply(dt / 6.0, su, out=su)
+        leray_hat(u_next, g, out=u_next)
+        sw += aw
+        w_next = apply_w(w0, False, out=yw)
+        w_next += np.multiply(dt / 6.0, sw, out=sw)
 
         w_next[:, 0, 0, 0] = 0.0
         u_next[..., 0] = hermitian_plane(u_next, g)
@@ -408,7 +474,7 @@ def make_initial(ic: InitialCondition, grid: Grid) -> SimState:
     """Deterministic initial state on the band; u is solenoidal, both fields
     mean-zero."""
     k_min = 2.0 * np.pi / grid.box_length
-    k_cut = (grid.n_per_axis / 3.0) * k_min
+    k_cut = grid.band.cutoff * k_min
     if not 0.0 < ic.peak_wavenumber <= k_cut:
         raise ValueError(
             f"peak wavenumber {ic.peak_wavenumber:.4g} outside the dealiased "

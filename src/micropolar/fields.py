@@ -111,44 +111,56 @@ class BandScratch:
     fields at a time.
 
     Every pass transforms the contiguous last axis; the copies between passes
-    gather the band rows and move the next axis last.  The padded buffers
-    keep zeros outside the band rows between calls.
+    gather the band rows and move the next axis last.  The z and y passes go
+    over slabs of `x_slab` x indices at a time, so only the x pass holds a whole
+    field.  The inverse pads a buffer's lines with zeros between the band rows
+    and transforms it in place.
 
     half          (x, y, kz)  rfft along z; its first K+1 columns feed irfft
     lines         (x, kz, y)  lines along y
     band_lines    (ky, kz, x) lines along x
-    lines_padded, band_lines_padded: the same, zero off the band rows
     """
 
     # an allocating transform batches as many fields as fit in this many
-    # bytes: small grids save calls, large ones keep one field's buffers
+    # bytes, and a single field larger than this goes in x slabs that fit:
+    # small grids save calls, large ones keep buffers small
     BATCH_BYTES = 1 << 20
 
     def __init__(self, grid: Grid, fields: int = 1):
         n, k = grid.n_per_axis, grid.band.cutoff
         self.fields = fields
-        self.half = np.empty((fields, n, n, n // 2 + 1), dtype=np.complex128)
-        self.lines = np.empty((fields, n, k + 1, n), dtype=np.complex128)
-        self.lines_padded = np.zeros_like(self.lines)
+        per_x = _bytes_per_x(n, k)
+        fits = fields > 1 or n * per_x <= self.BATCH_BYTES
+        self.x_slab = slab = n if fits else max(1, self.BATCH_BYTES // per_x)
+        self.half = np.empty((fields, slab, n, n // 2 + 1), dtype=np.complex128)
+        self.lines = np.empty((fields, slab, k + 1, n), dtype=np.complex128)
         self.band_lines = np.empty((fields, 2 * k + 1, k + 1, n), dtype=np.complex128)
-        self.band_lines_padded = np.zeros_like(self.band_lines)
 
     @classmethod
     def batched(cls, grid: Grid, count: int) -> "BandScratch":
         n, k = grid.n_per_axis, grid.band.cutoff
-        field_bytes = 16 * n * (n * (n // 2 + 1) + 2 * (k + 1) * (n + 2 * k + 1))
+        field_bytes = n * _bytes_per_x(n, k) + 16 * (2 * k + 1) * (k + 1) * n
         return cls(grid, max(1, min(count, cls.BATCH_BYTES // field_bytes)))
+
+
+def _bytes_per_x(n: int, k: int) -> int:
+    """Bytes of half and lines per x index of one field."""
+    return 16 * n * (n // 2 + 1 + k + 1)
 
 
 def _forward(values, out, grid, s: BandScratch) -> None:
     """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
     n, k, m = grid.n_per_axis, grid.band.cutoff, len(values)
-    half, lines, band_lines = s.half[:m], s.lines[:m], s.band_lines[:m]
-    np.fft.rfft(values, axis=-1, out=half)
-    np.copyto(lines, half[..., : k + 1].transpose(0, 1, 3, 2))
-    np.fft.fft(lines, axis=-1, out=lines)
-    band_lines[:, : k + 1] = lines[..., : k + 1].transpose(0, 3, 2, 1)
-    band_lines[:, k + 1 :] = lines[..., n - k :].transpose(0, 3, 2, 1)
+    band_lines = s.band_lines[:m]
+    for x in range(0, n, s.x_slab):
+        slab = slice(x, min(x + s.x_slab, n))
+        width = slab.stop - x
+        half, lines = s.half[:m, :width], s.lines[:m, :width]
+        np.fft.rfft(values[:, slab], axis=-1, out=half)
+        np.copyto(lines, half[..., : k + 1].transpose(0, 1, 3, 2))
+        np.fft.fft(lines, axis=-1, out=lines)
+        band_lines[:, : k + 1, :, slab] = lines[..., : k + 1].transpose(0, 3, 2, 1)
+        band_lines[:, k + 1 :, :, slab] = lines[..., n - k :].transpose(0, 3, 2, 1)
     np.fft.fft(band_lines, axis=-1, out=band_lines)
     scale = 1.0 / n**3
     np.multiply(band_lines[..., : k + 1].transpose(0, 3, 1, 2), scale, out=out[:, : k + 1])
@@ -158,17 +170,22 @@ def _forward(values, out, grid, s: BandScratch) -> None:
 def _inverse(coeffs, out, grid, s: BandScratch) -> None:
     """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
     n, k, m = grid.n_per_axis, grid.band.cutoff, len(coeffs)
-    padded, band_lines = s.band_lines_padded[:m], s.band_lines[:m]
-    padded[..., : k + 1] = coeffs[:, : k + 1].transpose(0, 2, 3, 1)
-    padded[..., n - k :] = coeffs[:, k + 1 :].transpose(0, 2, 3, 1)
-    np.fft.ifft(padded, axis=-1, norm="forward", out=band_lines)
-    padded, lines = s.lines_padded[:m], s.lines[:m]
-    padded[..., : k + 1] = band_lines[:, : k + 1].transpose(0, 3, 2, 1)
-    padded[..., n - k :] = band_lines[:, k + 1 :].transpose(0, 3, 2, 1)
-    np.fft.ifft(padded, axis=-1, norm="forward", out=lines)
-    half = s.half[:m, ..., : k + 1]
-    np.copyto(half, lines.transpose(0, 1, 3, 2))
-    np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out)
+    band_lines = s.band_lines[:m]
+    band_lines[..., : k + 1] = coeffs[:, : k + 1].transpose(0, 2, 3, 1)
+    band_lines[..., k + 1 : n - k] = 0.0
+    band_lines[..., n - k :] = coeffs[:, k + 1 :].transpose(0, 2, 3, 1)
+    np.fft.ifft(band_lines, axis=-1, norm="forward", out=band_lines)
+    for x in range(0, n, s.x_slab):
+        slab = slice(x, min(x + s.x_slab, n))
+        width = slab.stop - x
+        lines = s.lines[:m, :width]
+        lines[..., : k + 1] = band_lines[:, : k + 1, :, slab].transpose(0, 3, 2, 1)
+        lines[..., k + 1 : n - k] = 0.0
+        lines[..., n - k :] = band_lines[:, k + 1 :, :, slab].transpose(0, 3, 2, 1)
+        np.fft.ifft(lines, axis=-1, norm="forward", out=lines)
+        half = s.half[:m, :width, :, : k + 1]
+        np.copyto(half, lines.transpose(0, 1, 3, 2))
+        np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out[:, slab])
 
 
 def _by_fields(step, data, out, grid, scratch) -> None:
@@ -275,8 +292,10 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
 def divergence_defect(u: SpectralVectorField) -> float:
     """||div u||_2 / ||Du||_2 of full or band u (0 if Du = 0)."""
     g = u.grid
-    sq = np.abs(u.data) ** 2
-    grad_sq = float(g.mode_sum(g.lattice(u.data).deriv_k_sq * sq))
+    sq = np.abs(u.data)
+    np.square(sq, out=sq)
+    sq *= g.lattice(u.data).deriv_k_sq
+    grad_sq = float(g.mode_sum(sq))
     div_sq = float(g.mode_sum(np.abs(g.k_dot(u.data)) ** 2))
     return np.sqrt(div_sq / grad_sq) if grad_sq > 0.0 else 0.0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
+    BandScratch,
     RealVectorField,
     ScalarField,
     SpectralVectorField,
@@ -104,18 +105,21 @@ def grad_div(f: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(f.grid, grad_div_hat(f.data, f.grid))
 
 
-def leray_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
+def leray_hat(
+    data: np.ndarray, grid: Grid, out: np.ndarray | None = None
+) -> np.ndarray:
     """Project raw coefficients onto divergence-free fields; k=0 mode to 0.
 
     Uses the derivative wavenumbers, so the kernel is exactly the span of the
-    implemented gradient operator.  Takes the full lattice or the band.
+    implemented gradient operator.  Takes the full lattice or the band;
+    writes into out when given, which may be data itself.
     """
     s = grid.lattice(data)
-    factor = grid.k_dot(data) * s.inv_deriv_k_sq
-    out = np.empty_like(data)
-    out[0] = data[0] - s.dkx * factor
-    out[1] = data[1] - s.dky * factor
-    out[2] = data[2] - s.dkz * factor
+    factor = grid.k_dot(data)
+    factor *= s.inv_deriv_k_sq
+    out = np.empty_like(data) if out is None else out
+    for component, dk in enumerate((s.dkx, s.dky, s.dkz)):
+        np.subtract(data[component], dk * factor, out=out[component])
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -216,7 +220,16 @@ def random_band_limited(
     the band), multiplies the flat white-noise spectrum (any real radial
     profile keeps the Hermitian symmetry of the noise).
     """
-    data = forward_band(rng.standard_normal((3,) + grid.shape), grid)
+    # as many components at a time as the scratch batches: three (n, n, n)
+    # draws are one (3, n, n, n) draw
+    data = np.empty((3,) + grid.band.shape, dtype=np.complex128)
+    scratch = BandScratch.batched(grid, 3)
+    noise = np.empty((scratch.fields,) + grid.shape)
+    for start in range(0, 3, scratch.fields):
+        batch = noise[: min(scratch.fields, 3 - start)]
+        for field in batch:
+            rng.standard_normal(out=field)
+        forward_band(batch, grid, data[start : start + len(batch)], scratch)
     if envelope is not None:
         band = grid.band
         data *= envelope if grid.lattice(envelope) is band else envelope[band.index]

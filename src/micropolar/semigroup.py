@@ -103,17 +103,13 @@ def gaussian_bump(
     g = grid
     prefactor = amplitude * (2.0 * np.pi * width**2) ** 1.5 / g.volume
     radial = prefactor * np.exp(-0.5 * width**2 * g.k_sq)
-    nyq = np.abs(g.k1) == np.abs(g.k1).max()
-    mask = ~(
-        nyq.reshape(-1, 1, 1) | nyq.reshape(1, -1, 1) | nyq.reshape(1, 1, -1)
-    )
     data = np.empty((3,) + g.shape, dtype=np.complex128)
     for comp in range(3):
         cx, cy, cz = centers[comp]
         phase = np.exp(
             -1j * (g.kx * cx + g.ky * cy + g.kz * cz)
         )
-        data[comp] = radial * phase * mask
+        data[comp] = radial * phase * g.off_nyquist
     return RealVectorField(g, inverse_transform(data))
 
 

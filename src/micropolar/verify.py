@@ -236,7 +236,7 @@ def suite_lemma1() -> list[CheckResult]:
     # same band-limited field resampled on the doubled grid; the band must be
     # well resolved (sup sampling error scales like (k dx)^2)
     coarse = make_grid(32, 2.0 * np.pi)
-    envelope = (np.sqrt(coarse.k_sq) <= 2.0).astype(float)
+    envelope = (np.sqrt(coarse.band.k_sq) <= 2.0).astype(float)
     spec = random_band_limited(coarse, np.random.default_rng(6), envelope=envelope)
     r_coarse = gn_ratio_infty(to_real(spec))
     fine = make_grid(2 * coarse.n_per_axis, coarse.box_length)

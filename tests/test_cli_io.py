@@ -346,6 +346,15 @@ def test_run_outputs(tmp_path):
     assert "sup-norm interpolation constant" in report
 
 
+def test_band_run_builds_no_full_lattice_symbols(tmp_path):
+    text = small_config_text(tmp_path / "band", t_end=1.0)
+    cfg = parse_config_text(text.replace("grid.n = 8", "grid.n = 16"))
+    result = execute_run(cfg)
+    assert result.final_state.t == pytest.approx(1.0) and cfg.grid.n_per_axis == 16
+    lazy = {"k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "off_nyquist"}
+    assert not lazy & set(vars(cfg.grid))
+
+
 def test_run_zero_amplitude_all_zero_rows(tmp_path):
     cfg, result = run_config(tmp_path, "z", amplitude=0.0)
     rows = result.csv_path.read_text().strip().splitlines()[1:]
@@ -641,15 +650,16 @@ def test_cli_unallocatable_workspace_exit_2(tmp_path):
     output is written."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(small_config_text(tmp_path / "out").replace("grid.n = 8", "grid.n = 128"))
-    # At n = 128 the Grid and the initial draw fit in about 205 MB above what
-    # the child holds after import, and the workspace needs about 165 MB more
-    # (the run allocates the workspace from about 290 MB).  The child limits
-    # its own address space to the middle of that window.
+    # At n = 128 the Grid and the initial draw fit in about 81 MB above what
+    # the child holds after import, and the stepper's workspace and band
+    # buffers need about 175 MB more (the run allocates them from about
+    # 67 MB and holds about 242 MB with them).  The child limits its own
+    # address space to the middle of that window.
     code = (
         "import resource, sys\n"
         "import micropolar.cli\n"
         "status = open('/proc/self/status').read().split('VmSize:')[1]\n"
-        "limit = int(status.split()[0]) * 1024 + (245 << 20)\n"
+        "limit = int(status.split()[0]) * 1024 + (160 << 20)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
         "sys.exit(micropolar.cli.main(['run', sys.argv[1]]))\n"
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from micropolar.checkpoint import write_checkpoint
 from micropolar.diagnostics import RunAccumulator, detect_t0, fit_decay
 from micropolar.dynamics import (
     InitialCondition,
@@ -142,6 +143,34 @@ def test_energy_inequality_on_nonlinear_run():
 
 # ---------------------------------------------------------------------------
 # gradient-energy estimate ingredients
+
+
+def test_push_record_checkpoint_working_set(tmp_path):
+    """Traced peak of one push / record / checkpoint cycle at n=32, in band
+    vectors (3, 2K+1, 2K+1, K+1) complex: 3.6, the sup norms' one sample
+    buffer and one transform scratch; whole (3, n, n, n) sample arrays and a
+    fresh batched scratch per field read 7.2.  Below the step's own
+    transients, so a CSV row is never the run's peak."""
+    import tracemalloc
+
+    grid = make_grid(32, 2.0 * np.pi)
+    state = make_initial(InitialCondition("random_solenoidal", 4.0, 1.0, seed=5), grid)
+    acc = RunAccumulator(PARAMS, dt=0.01)
+    path = tmp_path / "checkpoint.bin"
+    acc.push(state)
+    acc.record(state)
+    write_checkpoint(state, PARAMS, path)  # first-call setup out of the trace
+    later = SimState(0.01, state.u, state.w)
+    tracemalloc.start()
+    try:
+        acc.push(later)
+        acc.record(later)
+        write_checkpoint(later, PARAMS, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band_vector = 3 * np.prod(grid.band.shape) * 16
+    assert peak <= 4.0 * band_vector
 
 
 def test_cross_term_needs_both_fields(grid8):

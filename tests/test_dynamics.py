@@ -10,6 +10,7 @@ from micropolar.dynamics import (
     InitialCondition,
     Stepper,
     StepperConfig,
+    _explicit_hats,
     energy_power,
     evolve,
     make_initial,
@@ -25,7 +26,15 @@ from micropolar.fields import (
 from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
-from micropolar.operators import advect, curl, grad_div, laplacian, leray_project
+from micropolar.operators import (
+    advect,
+    advect_hat,
+    curl,
+    grad_div,
+    laplacian,
+    leray_hat,
+    leray_project,
+)
 from micropolar.quadrature import corrected_trapezoid
 
 from conftest import random_spectral_field, single_mode_field
@@ -225,7 +234,9 @@ def test_invalid_step_output_raises(grid8, monkeypatch):
     import micropolar.dynamics
     from micropolar.dynamics import SimulationDiverged
 
-    monkeypatch.setattr(micropolar.dynamics, "leray_hat", lambda data, grid: data)
+    monkeypatch.setattr(
+        micropolar.dynamics, "leray_hat", lambda data, grid, out=None: data
+    )
     state = random_state(grid8, seed=46, scale=0.5)
     stepper = Stepper(grid8, PARAMS, StepperConfig(dt=0.05, t_end=1.0))
     with pytest.raises(SimulationDiverged, match="not divergence-free") as info:
@@ -320,6 +331,27 @@ def test_rhs_matches_full_lattice_oracle(n):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [12, 14, 16, 18, 24])
+def test_explicit_term_skew_and_flux_form_on_every_n(n):
+    """K = (n-1)//3 keeps every alias of a band product off the band, also
+    where 3 divides n (12, 18, 24; K = n//3 aliased the edge modes there):
+    with chi = 0, <N_u, u> = <N_w, w> = 0 and the flux form equals the
+    advective form."""
+    grid = make_grid(n, 2.0 * np.pi)
+    for seed in range(3):
+        state = random_state(grid, seed=900 + seed)
+        u, w = state.u.data, state.w.data
+        n_u, n_w = _explicit_hats(u, w, grid, 0.0)
+        for term, field in ((n_u, state.u), (n_w, state.w)):
+            term = SpectralVectorField(grid, term)
+            assert abs(inner(term, field)) <= 1e-14 * l2(term) * l2(field)
+        want_u = -leray_hat(advect_hat(u, u, grid), grid)
+        want_w = -advect_hat(u, w, grid)
+        want_w[:, 0, 0, 0] = 0.0
+        for got, want in ((n_u, want_u), (n_w, want_w)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def assert_stored_on_band(state):
     """Band-shaped fields whose kz = 0 plane (holding k and -k) is exactly
     Hermitian; kz > 0 stands for its mirror by construction."""
@@ -352,10 +384,12 @@ def test_step_power_matches_energy_power(grid16):
 
 def test_step_working_set():
     """Traced peak of building a Stepper and taking one n=32 step, in
-    (3, n, n, n) float64 fields: 7.8, of which the stepper's workspace (u
-    samples, one w component, one product, the band transforms' scratch and
-    the transformed products) is 4.0.  Fresh per-stage transients in place
-    of the workspace peaked at 7.4, full-lattice storage at 11.6."""
+    (3, n, n, n) float64 fields: 6.1.  The stepper holds its workspace (u
+    samples, one w component, one product, the band transforms' scratch) and
+    six band vectors (the running stage sum and two stage terms); the step
+    adds the stage state, which becomes the result.  Holding the transformed
+    products and fresh arrays for every stage term read 7.8, full-lattice
+    storage 11.6."""
     import tracemalloc
 
     grid = make_grid(32, 2.0 * np.pi)
@@ -368,7 +402,7 @@ def test_step_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * 3 * 32**3 * 8
+    assert peak <= 6.6 * 3 * 32**3 * 8
 
 
 @pytest.mark.parametrize("entry", ["state", "propagate_w"])

@@ -146,15 +146,15 @@ def test_hermitian_symmetry(grid8):
 
 
 def band_rows(n):
-    """FFT-order indices 0..K, n-K..n-1 of the 2/3 rule, K = n//3."""
-    k = n // 3
+    """FFT-order indices 0..K, n-K..n-1 of the 2/3 rule, K = (n-1)//3."""
+    k = (n - 1) // 3
     return np.r_[0 : k + 1, n - k : n]
 
 
-@pytest.mark.parametrize("n", [8, 16, 18])  # 18: K = n/3 exactly
+@pytest.mark.parametrize("n", [8, 16, 18])  # 18: 3 divides n, K = 5 < n/3
 def test_forward_band_matches_rfftn_and_mask(n):
     grid = make_grid(n, 2.0 * np.pi)
-    k, rows = n // 3, band_rows(n)
+    k, rows = (n - 1) // 3, band_rows(n)
     mask = grid.dealias_mask[..., : n // 2 + 1]
     assert np.count_nonzero(mask) == (2 * k + 1) ** 2 * (k + 1)
     assert mask[np.ix_(rows, rows, np.arange(k + 1))].all()
@@ -164,6 +164,29 @@ def test_forward_band_matches_rfftn_and_mask(n):
     assert got.shape == (3, 2 * k + 1, 2 * k + 1, k + 1)
     want_band = want[:, rows][:, :, rows][..., : k + 1]
     assert np.abs(got - want_band).max() <= 1e-15 * np.abs(want_band).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
+def test_band_symbols_are_the_full_lattice_gather(n):
+    """Band builds its symbols from the 1-D lattices; they equal the gather of
+    the Grid's full-lattice arrays bit for bit, and the band is the mask."""
+    grid = make_grid(n, 3.0)
+    band = grid.band
+    assert band.cutoff == (n - 1) // 3 and 3 * band.cutoff < n
+    for name in ("k_sq", "deriv_k_sq", "inv_deriv_k_sq"):
+        got, want = getattr(band, name), getattr(grid, name)[band.index]
+        assert got.shape == band.shape and got.tobytes() == want.tobytes()
+    assert np.count_nonzero(grid.dealias_mask) == (2 * band.cutoff + 1) ** 3
+    assert grid.dealias_mask[band.index].all()
+
+
+def test_full_lattice_symbols_are_built_on_first_use():
+    grid = make_grid(8, 2.0 * np.pi)
+    lazy = ("k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "off_nyquist")
+    assert not set(lazy) & set(vars(grid))
+    assert grid.k_sq is grid.k_sq and not grid.k_sq.flags.writeable
+    assert grid == make_grid(8, 2.0 * np.pi)  # equality ignores the cache
+    assert np.array_equal(grid.off_nyquist[:, 0, 0], np.arange(8) != 4)
 
 
 @pytest.mark.parametrize("n", [8, 16, 18])
@@ -177,7 +200,7 @@ def test_band_transform_round_trip(n):
 @pytest.mark.parametrize("n", [8, 16, 18])  # 18: 1/n^3 is not a power of two
 def test_band_transforms_into_buffers_match_allocating_path(n):
     """Caller buffers and one scratch reused across fields and directions give
-    the allocating path's bits: the padded rows stay zero between calls."""
+    the allocating path's bits: the zero padding is rewritten every call."""
     grid = make_grid(n, 2.0 * np.pi)
     scratch = BandScratch(grid)
     for seed in (15, 16):
@@ -197,7 +220,7 @@ def test_fold_expand_round_trip(n):
     spec = random_spectral_field(grid, seed=14).data
     band = fold_band(spec, grid)
     rows = band_rows(n)
-    assert np.array_equal(band, spec[:, rows][:, :, rows][..., : n // 3 + 1])
+    assert np.array_equal(band, spec[:, rows][:, :, rows][..., : (n - 1) // 3 + 1])
     full = expand_band(band, grid)
     assert np.abs(full - spec).max() <= 1e-15 * np.abs(spec).max()
     neg = (-np.arange(n)) % n
