@@ -5,8 +5,9 @@
     micropolar resume <checkpoint> <config> continue a checkpointed run
 
 Exit codes: 0 success / all checks pass; 1 verification failures;
-2 invalid config, unknown suite, or busy output directory; 3 runtime abort
-(CFL violation or divergence) with the last good checkpoint retained.
+2 invalid config, unknown suite, busy output directory, or a working set too
+large to allocate; 3 runtime abort (CFL violation or divergence) with the
+last good checkpoint retained.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def _drive(config, initial=None, params=None) -> int:
     except ValueError as exc:
         # invalid derived quantities (e.g. spectrum peak outside the band)
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # the fields, the stepper, a step or a record
+        too_large = ConfigError("working set too large to allocate", key="grid.n")
+        print(f"error: {too_large}", file=sys.stderr)
         return EXIT_USAGE
     print(f"run complete: {len(result.records)} records -> {result.csv_path}")
     print(f"report: {result.report_path}")

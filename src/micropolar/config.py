@@ -169,7 +169,7 @@ def parse_config_text(text: str) -> RunConfig:
             directory=Path(values["output.dir"]),
             checkpoint_every=values["output.checkpoint_every"],
         )
-    except MemoryError:  # only the grid's n^3 arrays are large
+    except MemoryError:  # of these, only the Grid's band symbols are large
         raise ConfigError("too large to allocate", seen_lines["grid.n"], "grid.n")
     except ValueError as exc:
         if isinstance(exc, ConfigError):

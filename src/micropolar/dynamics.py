@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    BandScratch,
     PhysicalParams,
     ScalarField,
     SimState,
     SpectralVectorField,
-    fold_band,
+    band_data,
     forward_band,
     hermitian_plane,
     inverse_band,
@@ -29,6 +28,7 @@ from .fields import (
 from .grid import Grid
 from .norms import spectral_l2_sq
 from .operators import (
+    AdvectionWorkspace,
     advect_hat,
     curl_hat,
     divergence_hat,
@@ -106,117 +106,35 @@ class InitialCondition:
 # right-hand side y_t = N(y) + L y for the pair y = (u, w)
 
 
-# the six products u_i u_j with i <= j and their (row, axis) terms in
-# div(u (x) u): dk_j u_i u_j in row i and dk_i u_i u_j in row j.  In this order
-# every row receives its x, y, z terms in turn, as Grid.k_dot adds them
-_UU_PAIRS = tuple(zip(*np.triu_indices(3)))
-_UU_TERMS = tuple({(i, j), (j, i)} for i, j in _UU_PAIRS)
-
-
-class _Workspace:
-    """The buffers an explicit term reuses: the physical u samples, one
-    physical w component, the products being transformed, the band
-    transforms' scratch, their band output and one band component for a term
-    being added.  Products go one field at a time, or a few on a grid small
-    enough to batch (BandScratch.batched)."""
-
-    def __init__(self, grid: Grid):
-        band = grid.band.shape
-        self.scratch = BandScratch.batched(grid, 3)
-        self.u_phys = np.empty((3,) + grid.shape)
-        self.w_phys = np.empty(grid.shape)
-        self.products = np.empty((self.scratch.fields,) + grid.shape)
-        self.hats = np.empty((self.scratch.fields,) + band, dtype=np.complex128)
-        self.term = np.empty(band, dtype=np.complex128)
-
-
-def _flux_divergence(products, terms, div: np.ndarray, grid: Grid, work: _Workspace):
-    """div[row] = sum over the (row, axis) terms of the products (a, b) of
-    dk_axis F(a * b), F = forward_band: each transformed product is added into
-    its rows at once, each row's terms in x, y, z order (x sets the row)."""
-    band = grid.band
-    dks = (band.dkx, band.dky, band.dkz)
-    batch = len(work.products)
-    for start in range(0, len(products), batch):
-        chunk = products[start : start + batch]
-        for row, (a, b) in enumerate(chunk):
-            np.multiply(a, b, out=work.products[row])
-        hats = forward_band(
-            work.products[: len(chunk)], grid, work.hats[: len(chunk)], work.scratch
-        )
-        for hat, rows in zip(hats, terms[start : start + batch]):
-            for row, axis in rows:
-                if axis == 0:
-                    np.multiply(dks[0], hat, out=div[row])
-                else:
-                    div[row] += np.multiply(dks[axis], hat, out=work.term)
-
-
-def _from_divergence(
-    div: np.ndarray, chi: float, coupled: np.ndarray, grid: Grid
-) -> None:
-    """div -> -i div + chi curl(coupled), in place."""
-    np.multiply(1j, div, out=div)
-    np.negative(div, out=div)
-    if chi != 0.0:
-        curl = curl_hat(coupled, grid)
-        div += np.multiply(chi, curl, out=curl)
-
-
-def _explicit_w_hat(
-    u_data: np.ndarray,
-    w_data: np.ndarray,
-    grid: Grid,
-    chi: float,
-    work: _Workspace | None = None,
-    u_phys: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """N_w = -div(u (x) w) + chi curl u on the band, mean mode 0.
-
-    work (a fresh one if None) holds the buffers; u_phys optionally carries
-    the physical velocity samples; out (not w_data) receives N_w when given.
-    """
-    work = work or _Workspace(grid)
-    if u_phys is None:
-        u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
-    n_w = np.empty_like(w_data) if out is None else out
-    for i in range(3):  # column i of the flux u (x) w is u w_i
-        w_i = inverse_band(w_data[i], grid, work.w_phys, work.scratch)
-        products = [(u_j, w_i) for u_j in u_phys]
-        _flux_divergence(products, [{(i, j)} for j in range(3)], n_w, grid, work)
-    _from_divergence(n_w, chi, u_data, grid)
-    n_w[:, 0, 0, 0] = 0.0
-    return n_w
-
-
 def _explicit_hats(
     u_data: np.ndarray,
     w_data: np.ndarray,
     grid: Grid,
     chi: float,
-    work: _Workspace | None = None,
+    work: AdvectionWorkspace | None = None,
     u_phys: np.ndarray | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicitly-integrated terms N(y) on the band, in flux form.
+    """Explicitly-integrated terms N(y) on the band.
 
-    Returns (N_u, N_w) with N_u = -P div(u (x) u) + chi curl w and
-    N_w = -div(u (x) w) + chi curl u.  The stage states lie inside the 2/3
-    band and u is discretely solenoidal, so these equal the advective forms
-    -P (u.grad)u and -(u.grad)w.  work (a fresh one if None) holds the
-    buffers; u_phys optionally carries the physical velocity samples; out
-    (arrays other than u_data and w_data) receives (N_u, N_w) when given.
+    Returns (N_u, N_w) with N_u = -P (u.grad)u + chi curl w and
+    N_w = -(u.grad)w + chi curl u, the advection from advect_hat.  work (a
+    fresh one if None) holds the buffers; u_phys optionally carries the
+    physical velocity samples; out (arrays other than u_data and w_data)
+    receives (N_u, N_w) when given.
     """
-    work = work or _Workspace(grid)
+    work = work or AdvectionWorkspace(grid)
     if u_phys is None:
-        u_phys = inverse_band(u_data, grid, work.u_phys, work.scratch)
+        u_phys = inverse_band(u_data, grid, work.v_phys, work.scratch)
     n_u, n_w = (None, None) if out is None else out
-    n_w = _explicit_w_hat(u_data, w_data, grid, chi, work, u_phys, n_w)
-    n_u = np.empty_like(u_data) if n_u is None else n_u
-    products = [(u_phys[i], u_phys[j]) for i, j in _UU_PAIRS]
-    _flux_divergence(products, _UU_TERMS, n_u, grid, work)
-    _from_divergence(n_u, chi, w_data, grid)
+    n_w = advect_hat(u_data, w_data, grid, work, u_phys, n_w)
+    n_u = advect_hat(u_data, u_data, grid, work, u_phys, n_u)
+    for term, coupled in ((n_u, w_data), (n_w, u_data)):
+        np.negative(term, out=term)
+        if chi != 0.0:
+            curl = curl_hat(coupled, grid)
+            term += np.multiply(chi, curl, out=curl)
+            del curl  # freed before the next one is built
     return leray_hat(n_u, grid, out=n_u), n_w
 
 
@@ -311,7 +229,7 @@ class Stepper:
         self.config = config
         self.last_power = 0.0  # 2<y, N(y) + L y> at the step start
         self.last_vmax = 0.0
-        self._work = _Workspace(grid)
+        self._work = AdvectionWorkspace(grid)
         self._pair = (2, 3) + grid.band.shape
         self._sum = np.empty(self._pair, complex)
         self._terms = np.empty((2,) + self._pair, complex)
@@ -349,10 +267,8 @@ class Stepper:
         A full-lattice w is folded first (fold_band refuses out-of-band
         coefficients); the result is on the band.
         """
-        g, data = self.grid, w.data
-        if g.lattice(data) is not g.band:
-            data = fold_band(data, g)
-        return SpectralVectorField(g, self._apply_w(data, half=False))
+        data = band_data(w.data, self.grid)
+        return SpectralVectorField(self.grid, self._apply_w(data, half=False))
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
         vmax = float(max(u_phys.max(), -u_phys.min()))  # max|u|, no |u| array
@@ -381,7 +297,7 @@ class Stepper:
         work = self._work
         (yu, yw), (su, sw) = np.empty(self._pair, complex), self._sum
         (au, aw), (bu, bw) = self._terms
-        u_phys = inverse_band(u0, g, work.u_phys, work.scratch)
+        u_phys = inverse_band(u0, g, work.v_phys, work.scratch)
         self._check_cfl(u_phys)
         _explicit_hats(u0, w0, g, chi, work, u_phys, out=(su, sw))  # N1
         self.last_power = _power(u0, w0, su, sw, g, self.params)

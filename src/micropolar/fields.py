@@ -242,6 +242,11 @@ def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
 
 
+def band_data(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """data itself if it is on the band, else fold_band(data, grid)."""
+    return data if grid.lattice(data) is grid.band else fold_band(data, grid)
+
+
 def _mirror_rows(grid: Grid) -> np.ndarray:
     k = grid.band.cutoff
     return (-np.arange(2 * k + 1)) % (2 * k + 1)  # band row of -k

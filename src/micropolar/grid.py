@@ -96,6 +96,10 @@ class Grid:
             raise ValueError(f"n_per_axis must be an even integer >= 4, got {n}")
         if not length > 0.0:
             raise ValueError(f"box_length must be positive, got {length}")
+        if not np.isfinite(2.0 * np.pi / length):
+            raise ValueError(
+                f"box_length {length!r} is too small: 2*pi/L is not finite"
+            )
 
         k1 = axis_wavenumbers(n, length)
         dk1 = k1.copy()

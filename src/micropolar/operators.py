@@ -1,11 +1,14 @@
 """Differential and projection operators in Fourier space.
 
-All operators act mode-wise on the full lattice or on the 2/3-rule band,
-picking their symbols by the data's layout (Grid.lattice).  First
+The linear operators act mode-wise on the full lattice or on the 2/3-rule
+band, picking their symbols by the data's layout (Grid.lattice).  First
 derivatives multiply by i*k with the Nyquist entry of the differentiated
 axis zeroed (its derivative has no real representation); composite operators
 (Laplacian, grad(div)) are built from the same derivative symbols so that
 operator identities hold exactly.
+
+advect_hat is the one advection kernel, i div(v (x) f) on the band: the
+stepper, the Duhamel forcing, pressure recovery and the verifier call it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from .fields import (
     RealVectorField,
     ScalarField,
     SpectralVectorField,
+    band_data,
     forward_band,
     forward_transform,
+    inverse_band,
     to_physical,
     to_spectral,
 )
@@ -137,26 +142,92 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(f.grid, f.data * f.grid.dealias_mask)
 
 
-def advect_hat(v_data: np.ndarray, f_data: np.ndarray, grid: Grid) -> np.ndarray:
-    """(v . grad) f via pseudo-spectral products, dealiased by the 2/3 rule;
-    full or band data in, the same layout out."""
-    s = grid.lattice(v_data)
-    v_phys = to_physical(v_data, grid)
-    adv = np.zeros((3,) + grid.shape)
-    for j, dk in enumerate((s.dkx, s.dky, s.dkz)):
-        df = to_physical(1j * dk * f_data, grid)
-        df *= v_phys[j]
-        adv += df
-    if s is grid.band:
-        return forward_band(adv, grid)
-    result = forward_transform(adv)
-    result *= grid.dealias_mask
-    return result
+# the six products v_i v_j with i <= j and their (row, axis) terms in
+# div(v (x) v): dk_j v_i v_j in row i and dk_i v_i v_j in row j.  In this order
+# every row receives its x, y, z terms in turn, as Grid.k_dot adds them
+_VV_PAIRS = tuple(zip(*np.triu_indices(3)))
+_VV_TERMS = tuple({(i, j), (j, i)} for i, j in _VV_PAIRS)
+
+
+class AdvectionWorkspace:
+    """The buffers advect_hat reuses: the physical v samples, one physical f
+    component, the products being transformed, the band transforms' scratch,
+    their band output and one band component for a term being added.
+    Products go one field at a time, or a few on a grid small enough to batch
+    (BandScratch.batched)."""
+
+    def __init__(self, grid: Grid):
+        band = grid.band.shape
+        self.scratch = BandScratch.batched(grid, 3)
+        self.v_phys = np.empty((3,) + grid.shape)
+        self.f_phys = np.empty(grid.shape)
+        self.products = np.empty((self.scratch.fields,) + grid.shape)
+        self.hats = np.empty((self.scratch.fields,) + band, dtype=np.complex128)
+        self.term = np.empty(band, dtype=np.complex128)
+
+
+def _flux_divergence(products, terms, div, grid: Grid, work: AdvectionWorkspace):
+    """div[row] = sum over the (row, axis) terms of the products (a, b) of
+    dk_axis F(a * b), F = forward_band: each transformed product is added into
+    its rows at once, each row's terms in x, y, z order (x sets the row)."""
+    band = grid.band
+    dks = (band.dkx, band.dky, band.dkz)
+    batch = len(work.products)
+    for start in range(0, len(products), batch):
+        chunk = products[start : start + batch]
+        for row, (a, b) in enumerate(chunk):
+            np.multiply(a, b, out=work.products[row])
+        hats = forward_band(
+            work.products[: len(chunk)], grid, work.hats[: len(chunk)], work.scratch
+        )
+        for hat, rows in zip(hats, terms[start : start + batch]):
+            for row, axis in rows:
+                if axis == 0:
+                    np.multiply(dks[0], hat, out=div[row])
+                else:
+                    div[row] += np.multiply(dks[axis], hat, out=work.term)
+
+
+def advect_hat(
+    v_data: np.ndarray,
+    f_data: np.ndarray,
+    grid: Grid,
+    work: AdvectionWorkspace | None = None,
+    v_phys: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """i div(v (x) f) of band v, f on the band, mean mode 0: (v . grad) f in
+    flux form for solenoidal v.  Band products reach twice the cutoff, whose
+    aliases lie off the band, so the pseudo-spectral products are exact there.
+
+    f_data is v_data takes the six products v_i v_j, other f the nine v_j f_i.
+    work (a fresh one if None) holds the buffers; v_phys optionally carries
+    the physical v samples; out (not v_data or f_data) receives the result.
+    """
+    work = work or AdvectionWorkspace(grid)
+    if v_phys is None:
+        v_phys = inverse_band(v_data, grid, work.v_phys, work.scratch)
+    div = np.empty_like(f_data) if out is None else out
+    if f_data is v_data:
+        products = [(v_phys[i], v_phys[j]) for i, j in _VV_PAIRS]
+        _flux_divergence(products, _VV_TERMS, div, grid, work)
+    else:
+        for i in range(3):  # column i of the flux v (x) f is v f_i
+            f_i = inverse_band(f_data[i], grid, work.f_phys, work.scratch)
+            products = [(v_j, f_i) for v_j in v_phys]
+            _flux_divergence(products, [{(i, j)} for j in range(3)], div, grid, work)
+    np.multiply(1j, div, out=div)
+    div[:, 0, 0, 0] = 0.0
+    return div
 
 
 def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorField:
-    """Dealiased spectral transform of (v . grad) f."""
-    return SpectralVectorField(v.grid, advect_hat(v.data, f.data, v.grid))
+    """(v . grad) f on the band, by advect_hat; full-lattice fields are folded
+    first (fold_band refuses out-of-band coefficients)."""
+    g = v.grid
+    v_data = band_data(v.data, g)
+    f_data = v_data if f.data is v.data else band_data(f.data, g)
+    return SpectralVectorField(g, advect_hat(v_data, f_data, g))
 
 
 def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> float:

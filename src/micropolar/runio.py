@@ -163,16 +163,13 @@ def execute_run(
 
     CflError / SimulationDiverged propagate to the caller after the abort
     diagnostics and the last good checkpoint are written; ConfigError is
-    raised, before anything is written, when the initial fields or the
-    stepper's workspace cannot be allocated (key grid.n), and when the output
-    directory cannot be created.
+    raised when the output directory cannot be created.  The initial fields
+    and the stepper's workspace are allocated before anything is written, so
+    a MemoryError there leaves no output behind.
     """
     p = params if params is not None else config.params
-    try:
-        state = initial if initial is not None else make_initial(config.ic, config.grid)
-        steps = evolve(state, p, config.stepper)
-    except MemoryError:
-        raise ConfigError("working set too large to allocate", key="grid.n") from None
+    state = initial if initial is not None else make_initial(config.ic, config.grid)
+    steps = evolve(state, p, config.stepper)
     out_dir = config.output.directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,6 @@ from .fields import (
     forward_transform,
     inverse_transform,
 )
-from .dynamics import _explicit_w_hat
 from .grid import Grid
 from .norms import lr_phys, spectral_l2_sq
 from .operators import advect_hat, curl_hat, grad_div_hat
@@ -309,12 +308,12 @@ class DuhamelReconstruction:
 
 
 def _forcing_hat(state: SimState, p: PhysicalParams) -> np.ndarray:
-    """-(u.grad)w + grad(div w) + chi curl u, as raw band coefficients.
+    """-(u.grad)w + chi curl u + grad(div w), as raw band coefficients.
 
     The stepper's explicit w term plus the grad-div part of its linear term.
     """
     g, u, w = state.grid, state.u.data, state.w.data
-    return _explicit_w_hat(u, w, g, p.chi) + grad_div_hat(w, g)
+    return -advect_hat(u, w, g) + p.chi * curl_hat(u, g) + grad_div_hat(w, g)
 
 
 def duhamel_reconstruct_w(

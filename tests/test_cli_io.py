@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import resource
 import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from micropolar.checkpoint import (
 )
 from micropolar.cli import main
 from micropolar.config import ConfigError, parse_config_text
+from micropolar.diagnostics import RunAccumulator
 from micropolar.dynamics import Stepper, StepperConfig
 from micropolar.fields import (
     PhysicalParams,
@@ -111,6 +114,17 @@ def test_parse_semantic_errors(tmp_path):
     text = small_config_text(tmp_path, chi=-0.5)
     with pytest.raises(ConfigError, match="chi"):
         parse_config_text(text)
+
+
+def test_parse_rejects_box_length_without_finite_wavenumbers(tmp_path):
+    # 1e-320 is positive, but 2*pi/L overflows to inf (and k = inf * 0 is NaN)
+    text = small_config_text(tmp_path).replace(
+        "grid.L = 12.566370614359172", "grid.L = 1e-320"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="box_length 1e-320 is too small"):
+            parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +518,21 @@ def test_cli_runtime_abort_exit_3(tmp_path, capsys):
     assert (tmp_path / "out" / "abort.txt").exists()
 
 
+@pytest.mark.parametrize("owner, name", [(RunAccumulator, "push"), (Stepper, "step")])
+def test_cli_memory_error_mid_run_exit_2(tmp_path, capsys, monkeypatch, owner, name):
+    """A MemoryError once the stepper is built (a record or a step) exits 2
+    with the one error line of a working set too large to allocate."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(owner, name, out_of_memory)
+    path = write_config(tmp_path, small_config_text(tmp_path / "out"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [key 'grid.n'] working set too large to allocate"]
+
+
 def test_cli_verify_unknown_suite_exit_2(capsys):
     assert main(["verify", "bogus"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -615,6 +644,24 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """Each module of the package uses its siblings through their public
+    names only: no `from .module import _name`."""
+    package = Path(micropolar.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "micropolar":
+                private += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
 
 
 def test_console_script_entry_point(tmp_path):

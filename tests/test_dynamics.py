@@ -22,13 +22,12 @@ from micropolar.fields import (
     SimState,
     SpectralVectorField,
     expand_band,
+    fold_band,
 )
 from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
 from micropolar.operators import (
-    advect,
-    advect_hat,
     curl,
     grad_div,
     laplacian,
@@ -37,7 +36,7 @@ from micropolar.operators import (
 )
 from micropolar.quadrature import corrected_trapezoid
 
-from conftest import random_spectral_field, single_mode_field
+from conftest import advective_oracle, random_spectral_field, single_mode_field
 
 
 PARAMS = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
@@ -308,10 +307,10 @@ def full_field(f):
 def full_lattice_rhs(state, p):
     """(u_t, w_t) in advective form from the full-lattice operators."""
     u, w = full_field(state.u), full_field(state.w)
-    n_u = SpectralVectorField(u.grid, -advect(u, u).data + p.chi * curl(w).data)
+    n_u = SpectralVectorField(u.grid, -advective_oracle(u, u) + p.chi * curl(w).data)
     u_t = leray_project(n_u).data + (p.mu + p.chi) * laplacian(u).data
     w_t = (
-        -advect(u, w).data
+        -advective_oracle(u, w)
         + p.chi * curl(u).data
         + p.gamma * laplacian(w).data
         + grad_div(w).data
@@ -336,7 +335,7 @@ def test_explicit_term_skew_and_flux_form_on_every_n(n):
     """K = (n-1)//3 keeps every alias of a band product off the band, also
     where 3 divides n (12, 18, 24; K = n//3 aliased the edge modes there):
     with chi = 0, <N_u, u> = <N_w, w> = 0 and the flux form equals the
-    advective form."""
+    advective form (the conftest oracle)."""
     grid = make_grid(n, 2.0 * np.pi)
     for seed in range(3):
         state = random_state(grid, seed=900 + seed)
@@ -345,8 +344,8 @@ def test_explicit_term_skew_and_flux_form_on_every_n(n):
         for term, field in ((n_u, state.u), (n_w, state.w)):
             term = SpectralVectorField(grid, term)
             assert abs(inner(term, field)) <= 1e-14 * l2(term) * l2(field)
-        want_u = -leray_hat(advect_hat(u, u, grid), grid)
-        want_w = -advect_hat(u, w, grid)
+        want_u = -leray_hat(fold_band(advective_oracle(state.u, state.u), grid), grid)
+        want_w = -fold_band(advective_oracle(state.u, state.w), grid)
         want_w[:, 0, 0, 0] = 0.0
         for got, want in ((n_u, want_u), (n_w, want_w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -439,12 +438,10 @@ def test_pressure_helmholtz_consistency(grid8):
     from micropolar.operators import gradient
 
     state = random_state(grid8, seed=46)
-    n_field = advect(state.u, state.u)
+    n_field = SpectralVectorField(grid8, advective_oracle(state.u, state.u))
     p_field = recover_pressure(state)
     grad_p = gradient(p_field)
-    residual = grad_p.data - expand_band(
-        leray_project(n_field).data - n_field.data, grid8
-    )
+    residual = grad_p.data - (leray_project(n_field).data - n_field.data)
     scale = max(np.abs(n_field.data).max(), 1e-30)
     assert np.abs(residual).max() <= 1e-11 * scale
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micropolar.fields import (
     RealVectorField,
     ScalarField,
     SpectralVectorField,
     expand_band,
+    fold_band,
     to_real,
 )
 from micropolar.grid import make_grid
@@ -18,6 +21,7 @@ from micropolar.operators import (
     CALIBRATED_C_INFTY,
     LEVI_CIVITA,
     advect,
+    advect_hat,
     calibration_ensemble,
     curl,
     dealias,
@@ -33,7 +37,7 @@ from micropolar.operators import (
     random_band_limited,
 )
 
-from conftest import random_spectral_field, single_mode_field
+from conftest import advective_oracle, random_spectral_field, single_mode_field
 
 
 def hermitian_defect(data, grid):
@@ -248,12 +252,41 @@ def test_advect_zero_cases(grid8):
 
 
 def test_advect_skew_symmetry(grid8):
-    for seed in range(10):
-        v = random_spectral_field(grid8, seed=400 + seed, solenoidal=True)
-        f = random_spectral_field(grid8, seed=500 + seed)
+    rng = np.random.default_rng(400)
+    for _ in range(10):
+        v = random_band_limited(grid8, rng, solenoidal=True)
+        f = random_band_limited(grid8, rng)
         val = inner(advect(v, f), f)
         scale = l2(v) * l2(f) ** 2
         assert abs(val) <= 1e-11 * scale
+
+
+def test_advect_folds_full_lattice_fields(grid8):
+    v = random_spectral_field(grid8, seed=10, solenoidal=True)
+    f = random_spectral_field(grid8, seed=11)
+    band_v, band_f = (fold_band(x.data, grid8) for x in (v, f))
+    assert np.array_equal(advect(v, f).data, advect_hat(band_v, band_f, grid8))
+    assert np.array_equal(advect(v, v).data, advect_hat(band_v, band_v, grid8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(range(4, 41, 2)), seed=st.integers(0, 2**32 - 1))
+def test_advect_hat_properties_on_every_n(n, seed):
+    """On random band fields, u solenoidal: <advect_hat(u, f), f> = 0, the
+    flux kernel equals the advective-form oracle, and the six-product path
+    (f is u) equals the nine-product one."""
+    grid = make_grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    u = random_band_limited(grid, rng, solenoidal=True)
+    f = random_band_limited(grid, rng)
+    got = advect_hat(u.data, f.data, grid)
+    term = SpectralVectorField(grid, got)
+    assert abs(inner(term, f)) <= 1e-14 * l2(term) * l2(f)
+    want = fold_band(advective_oracle(u, f), grid)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    six = advect_hat(u.data, u.data, grid)
+    nine = advect_hat(u.data, u.data.copy(), grid)
+    assert np.abs(six - nine).max() <= 1e-13 * np.abs(nine).max()
 
 
 def convolution_advection_oracle(v: SpectralVectorField, f: SpectralVectorField):
@@ -303,7 +336,7 @@ def test_advect_matches_convolution_oracle():
     v = random_spectral_field(grid, seed=8, solenoidal=True)
     f = random_spectral_field(grid, seed=9)
     fast = advect(v, f)
-    oracle = convolution_advection_oracle(v, f) * grid.dealias_mask
+    oracle = fold_band(convolution_advection_oracle(v, f) * grid.dealias_mask, grid)
     scale = max(np.abs(oracle).max(), 1e-30)
     assert np.abs(fast.data - oracle).max() <= 1e-12 * scale
 
