@@ -14,7 +14,6 @@ from .operators import (
     LEVI_CIVITA,
     advect,
     curl,
-    dealias,
     derivative,
     divergence,
     gn_ratio_grad,

@@ -11,8 +11,8 @@ Layout (all little-endian):
                   m <= n/2 and 2*pi/L * (m - n) above)
 
 complex128 is an interleaved (re, im) pair of f64, so the payload matches
-the documented wire format byte for byte.  States are stored on the 2/3-rule
-band, so the writer expands them here, one component at a time, and the reader
+the documented wire format byte for byte.  States live on the 2/3-rule band,
+so the writer expands them here, one component at a time, and the reader
 folds the file's lattice back (fold_band refuses out-of-band coefficients).
 The writer fills <path>.tmp and moves it over <path>, so a failed write never
 destroys the last checkpoint.
@@ -26,7 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PhysicalParams, SimState, SpectralVectorField, expand_band
+from .fields import (
+    PhysicalParams,
+    SimState,
+    SpectralVectorField,
+    expand_band,
+    fold_band,
+)
 from .grid import make_grid
 
 MAGIC = b"MPOLAR01"
@@ -82,15 +88,14 @@ def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:
             f"{path}: truncated payload ({len(blob)} bytes, expected {expected})"
         )
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    if not np.isfinite(flat).all():  # before fold_band, which sees NaN as content
+        raise CheckpointError(f"{path}: coefficients contain non-finite values")
     data = flat.reshape(2, 3, n, n, n)
-    try:  # Grid checks n, the fields finiteness; SimState folds (2/3 band), div u
+    try:  # Grid checks n, fold_band the 2/3 band, SimState div u
         grid = make_grid(int(n), float(length))
         params = PhysicalParams(mu=mu, gamma=gamma, chi=chi)
-        state = SimState(
-            t,
-            SpectralVectorField(grid, data[0]),
-            SpectralVectorField(grid, data[1]),
-        )
+        u, w = (SpectralVectorField(grid, fold_band(field, grid)) for field in data)
+        state = SimState(t, u, w)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     return state, params

@@ -145,9 +145,19 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("required key missing", key=key)
         if key not in values:
             values[key] = _DEFAULTS[key]
+    seed = values["ic.seed"]
+    if seed < 0:  # numpy's seeding would refuse it later, naming no key
+        line = seen_lines["ic.seed"]
+        raise ConfigError(f"must be non-negative, got {seed}", line, "ic.seed")
 
     try:
         grid = make_grid(values["grid.n"], values["grid.L"])
+    except ValueError as exc:  # Grid's box_length messages start with the name
+        key = "grid.L" if str(exc).startswith("box_length") else "grid.n"
+        raise ConfigError(str(exc), seen_lines[key], key) from exc
+    except MemoryError:  # the Grid's band symbols
+        raise ConfigError("too large to allocate", seen_lines["grid.n"], "grid.n")
+    try:
         params = PhysicalParams(
             mu=values["params.mu"],
             gamma=values["params.gamma"],
@@ -169,11 +179,7 @@ def parse_config_text(text: str) -> RunConfig:
             directory=Path(values["output.dir"]),
             checkpoint_every=values["output.checkpoint_every"],
         )
-    except MemoryError:  # of these, only the Grid's band symbols are large
-        raise ConfigError("too large to allocate", seen_lines["grid.n"], "grid.n")
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
     return RunConfig(grid=grid, params=params, ic=ic, stepper=stepper, output=output)
 

@@ -18,11 +18,9 @@ from .fields import (
     ScalarField,
     SimState,
     SpectralVectorField,
-    band_data,
     forward_band,
     hermitian_plane,
     inverse_band,
-    to_physical,
     zero_spectral,
 )
 from .grid import Grid
@@ -144,8 +142,8 @@ def _linear_components(
     """L y one component at a time: yields the c-th components of
     (mu+chi) Lap u and of gamma Lap w + grad(div w) - 2 chi w, c = 0, 1, 2."""
     band = grid.band
-    coef_u = -(p.mu + p.chi) * band.deriv_k_sq
-    coef_w = -p.gamma * band.deriv_k_sq
+    coef_u = -(p.mu + p.chi) * band.k_sq
+    coef_w = -p.gamma * band.k_sq
     div = divergence_hat(w_data, grid)
     for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
         l_w = coef_w * w_data[component]
@@ -203,8 +201,8 @@ def recover_pressure(state: SimState) -> ScalarField:
     """
     g = state.grid
     n_hat = advect_hat(state.u.data, state.u.data, g)
-    p_hat = divergence_hat(n_hat, g) * g.band.inv_deriv_k_sq
-    return ScalarField(g, to_physical(p_hat, g))
+    p_hat = divergence_hat(n_hat, g) * g.band.inv_k_sq
+    return ScalarField(g, inverse_band(p_hat, g))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,7 @@ class Stepper:
         self._sum = np.empty(self._pair, complex)
         self._terms = np.empty((2,) + self._pair, complex)
         dt = config.dt
-        dsq = grid.band.deriv_k_sq
+        dsq = grid.band.k_sq
         self._eu_half = np.exp(-(params.mu + params.chi) * dsq * (dt / 2.0))
         self._eu_full = self._eu_half**2
         gamma, chi = params.gamma, params.chi
@@ -251,7 +249,7 @@ class Stepper:
         when given, which may be data itself."""
         band = self.grid.band
         factor = self.grid.k_dot(data)
-        factor *= band.inv_deriv_k_sq
+        factor *= band.inv_k_sq
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
         out = np.empty_like(data) if out is None else out
@@ -262,13 +260,8 @@ class Stepper:
         return out
 
     def propagate_w(self, w: SpectralVectorField) -> SpectralVectorField:
-        """w after one dt with u held at 0: the exact linear w propagator.
-
-        A full-lattice w is folded first (fold_band refuses out-of-band
-        coefficients); the result is on the band.
-        """
-        data = band_data(w.data, self.grid)
-        return SpectralVectorField(self.grid, self._apply_w(data, half=False))
+        """w after one dt with u held at 0: the exact linear w propagator."""
+        return SpectralVectorField(self.grid, self._apply_w(w.data, half=False))
 
     def _check_cfl(self, u_phys: np.ndarray) -> None:
         vmax = float(max(u_phys.max(), -u_phys.min()))  # max|u|, no |u| array

@@ -14,6 +14,7 @@ import numpy as np
 from .grid import Grid
 
 DIV_FREE_RTOL = 1e-12
+BAND_RTOL = 1e-12  # round-trip error of samples the band represents, of their max
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,19 @@ class RealVectorField:
 
 @dataclass(frozen=True)
 class SpectralVectorField:
-    """Three complex coefficient blocks on the full lattice (3, n, n, n) or on
-    the 2/3-rule band (3, 2K+1, 2K+1, K+1); operators pick their symbols by
-    the layout (Grid.lattice)."""
+    """Three complex coefficient blocks on the 2/3-rule band (3, 2K+1, 2K+1,
+    K+1) (Grid.band), the one spectral layout."""
 
     grid: Grid
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        full, band = (3,) + self.grid.shape, (3,) + self.grid.band.shape
-        if self.data.shape not in (full, band):
-            raise ValueError(
-                f"expected shape {full} or {band}, got {self.data.shape}"
-            )
+        band = (3,) + self.grid.band.shape
+        if self.data.shape != band:
+            hint = ""
+            if self.data.shape == (3,) + self.grid.shape:
+                hint = " (a full-lattice array goes to the band by fold_band)"
+            raise ValueError(f"expected shape {band}, got {self.data.shape}{hint}")
         _check_finite(self.data, "SpectralVectorField")
 
     def copy(self) -> "SpectralVectorField":
@@ -89,7 +90,9 @@ class ScalarField:
 
 
 def forward_transform(values: np.ndarray) -> np.ndarray:
-    """Forward DFT with 1/n^3 normalization; accepts (..., n, n, n)."""
+    """Forward DFT with 1/n^3 normalization onto the full lattice; accepts
+    (..., n, n, n).  Only the heat-kernel fits over sub-grid bumps need the
+    modes beyond the band."""
     n3 = values.shape[-1] * values.shape[-2] * values.shape[-3]
     axes = tuple(range(values.ndim - 3, values.ndim))
     out = values.astype(np.complex128)  # transformed in place: no temporaries
@@ -99,7 +102,8 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
 
 
 def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DFT without normalization (real part); accepts (..., n, n, n)."""
+    """Inverse DFT without normalization (real part) of full-lattice
+    coefficients (..., n, n, n), as forward_transform."""
     n3 = coeffs.shape[-1] * coeffs.shape[-2] * coeffs.shape[-3]
     axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
     full = np.fft.ifftn(coeffs, axes=axes, out=np.empty(coeffs.shape, np.complex128))
@@ -234,17 +238,12 @@ def inverse_band(
 def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
     """The band (..., 2K+1, 2K+1, K+1) of full coefficients (..., n, n, n), as a
     copy; ValueError if data is nonzero outside the 2/3 band.  The one
-    full -> band conversion: user-built states and checkpoints enter here."""
+    full -> band conversion: full-lattice arrays (checkpoints) enter here."""
     k, rows = grid.band.cutoff, grid.band.rows
     out = slice(k + 1, grid.n_per_axis - k)  # slabs read in place, no copy
     if data[..., out].any() or data[..., out, :].any() or data[..., out, :, :].any():
         raise ValueError("coefficients outside the 2/3 band")
     return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
-
-
-def band_data(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """data itself if it is on the band, else fold_band(data, grid)."""
-    return data if grid.lattice(data) is grid.band else fold_band(data, grid)
 
 
 def _mirror_rows(grid: Grid) -> np.ndarray:
@@ -273,33 +272,44 @@ def expand_band(band: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-def to_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Physical samples (..., n, n, n) of full or band coefficients."""
-    if grid.lattice(coeffs) is grid.band:
-        return inverse_band(coeffs, grid)
-    return inverse_transform(coeffs)
+def band_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """forward_band of samples (..., n, n, n) that the band represents:
+    ValueError when the coefficients do not give the samples back (content
+    off the 2/3 band), so nothing is truncated silently."""
+    coeffs = forward_band(values, grid)
+    error = np.abs(inverse_band(coeffs, grid) - values).max()
+    scale = np.abs(values).max()
+    if error > BAND_RTOL * scale:
+        raise ValueError(
+            f"samples have content off the 2/3 band (round trip error "
+            f"{error / scale:.3e} of their max)"
+        )
+    return coeffs
 
 
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
-    """Transform a physical vector field to its Fourier coefficients."""
-    return SpectralVectorField(f.grid, forward_transform(f.data))
+    """Band coefficients of a physical vector field; ValueError if the field
+    has content off the band."""
+    return SpectralVectorField(f.grid, band_coefficients(f.data, f.grid))
 
 
 def to_real(g: SpectralVectorField) -> RealVectorField:
-    """Transform Fourier coefficients (full or band) back to physical samples."""
-    return RealVectorField(g.grid, to_physical(g.data, g.grid))
+    """Transform band coefficients back to physical samples."""
+    return RealVectorField(g.grid, inverse_band(g.data, g.grid))
 
 
 def zero_spectral(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
+    return SpectralVectorField(
+        grid, np.zeros((3,) + grid.band.shape, dtype=np.complex128)
+    )
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
-    """||div u||_2 / ||Du||_2 of full or band u (0 if Du = 0)."""
+    """||div u||_2 / ||Du||_2 (0 if Du = 0)."""
     g = u.grid
     sq = np.abs(u.data)
     np.square(sq, out=sq)
-    sq *= g.lattice(u.data).deriv_k_sq
+    sq *= g.band.k_sq
     grad_sq = float(g.mode_sum(sq))
     div_sq = float(g.mode_sum(np.abs(g.k_dot(u.data)) ** 2))
     return np.sqrt(div_sq / grad_sq) if grad_sq > 0.0 else 0.0
@@ -307,10 +317,9 @@ def divergence_defect(u: SpectralVectorField) -> float:
 
 @dataclass(frozen=True)
 class SimState:
-    """Velocity/micro-rotation pair (u, w) at time t, stored on the 2/3-rule band.
+    """Velocity/micro-rotation pair (u, w) at time t on the 2/3-rule band.
 
-    Full-lattice fields are folded on entry (fold_band refuses out-of-band
-    coefficients); the fields check finiteness and the state checks that u is
+    The fields check their layout and finiteness; the state checks that u is
     solenoidal.
     """
 
@@ -323,12 +332,6 @@ class SimState:
             raise ValueError(f"t must be non-negative, got {self.t}")
         if self.u.grid is not self.w.grid and self.u.grid != self.w.grid:
             raise ValueError("u and w live on different grids")
-        g = self.grid
-        for name in ("u", "w"):
-            field = getattr(self, name)
-            if g.lattice(field.data) is not g.band:
-                folded = SpectralVectorField(g, fold_band(field.data, g))
-                object.__setattr__(self, name, folded)
         defect = divergence_defect(self.u)
         if defect > DIV_FREE_RTOL:
             raise ValueError(

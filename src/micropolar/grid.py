@@ -1,7 +1,9 @@
-"""Periodic-box geometry and the Fourier wavenumber lattice."""
+"""Periodic-box geometry, the Fourier wavenumber lattice and the 2/3-rule band."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,30 +21,29 @@ def axis_wavenumbers(n: int, box_length: float) -> np.ndarray:
 
 
 class Band:
-    """The coefficients the 2/3 rule keeps with kz >= 0, shape (2K+1, 2K+1, K+1).
+    """The coefficients the 2/3 rule keeps with kz >= 0, shape (2K+1, 2K+1, K+1):
+    the one layout of every spectral field.
 
     f(-k) = conj f(k) gives the rest.  K (cutoff) = (n-1)//3 is the largest
     index kept, |k_axis| < n/3: a product of two band fields reaches 2K, whose
     alias 2K - n lies outside the band for every n, and there is no Nyquist
     plane.  Axes are in FFT order: 0..K then n-K..n-1 on x and y (rows), 0..K
-    on z; index picks the band out of a full (n, n, n) array.  dkx, dky, dkz,
-    k_sq, deriv_k_sq and inv_deriv_k_sq are the Grid symbols on the band, built
-    from the 1-D lattices by the Grid's own float operations, so they equal its
-    full arrays' gather bitwise (k_sq is deriv_k_sq: no Nyquist mode); weight
-    is the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
+    on z.  dkx, dky, dkz are the derivative wavenumbers on the band, k_sq their
+    sum of squares (the Laplacian's symbol, and |k|^2: no Nyquist mode) and
+    inv_k_sq its inverse with 0 at k = 0 (Leray / Poisson kernel); weight is
+    the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
     """
 
     def __init__(self, grid: "Grid"):
         n = grid.n_per_axis
         k = self.cutoff = (n - 1) // 3
         rows = self.rows = np.r_[0 : k + 1, n - k : n]
-        self.index = np.ix_(rows, rows, np.arange(k + 1))
         self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
         self.dkz = grid.dkz[..., : k + 1]
         self.shape = (2 * k + 1, 2 * k + 1, k + 1)
-        self.deriv_k_sq = _sum_of_squares(self.dkx, self.dky, self.dkz)
-        self.k_sq = self.deriv_k_sq
-        self.inv_deriv_k_sq = _inverse_or_zero(self.deriv_k_sq)
+        self.k_sq = _sum_of_squares(self.dkx, self.dky, self.dkz)
+        self.inv_k_sq = np.zeros_like(self.k_sq)
+        np.divide(1.0, self.k_sq, out=self.inv_k_sq, where=self.k_sq > 0.0)
         self.weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -53,16 +54,12 @@ def _sum_of_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x**2 + y**2 + z**2
 
 
-def _inverse_or_zero(values: np.ndarray) -> np.ndarray:
-    """1/values where values > 0, zero elsewhere."""
-    inv = np.zeros_like(values)
-    np.divide(1.0, values, out=inv, where=values > 0.0)
-    return inv
-
-
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=True)
@@ -70,21 +67,18 @@ class Grid:
     """Cubic periodic box with n_per_axis points per axis and period box_length.
 
     Derived spectral arrays are shared by every operator.  The 1-D lattices
-    and the band are built with the grid; the full-lattice (n, n, n) arrays
-    are built on first use (a run on the band never builds them):
+    and the band are built with the grid; the two full-lattice (n, n, n)
+    arrays, which only the heat-kernel fits over sub-grid bumps use, are
+    built on first use (a run never builds them):
 
     k1              1D lattice, Nyquist stored as +n/2
     kx, ky, kz      broadcastable axis wavenumbers, shapes (n,1,1), (1,n,1), (1,1,n)
-    k_sq            |k|^2 including the Nyquist mode (used by heat propagators)
+    k_sq            |k|^2 including the Nyquist mode (full lattice)
+    off_nyquist     True off every Nyquist plane (k_axis = n/2 on some axis)
     dk1             1D lattice with the Nyquist entry zeroed (derivative symbol)
     dkx, dky, dkz   broadcastable derivative wavenumbers
-    deriv_k_sq      sum of dk_j^2 (Laplacian built from first derivatives)
-    inv_deriv_k_sq  1/deriv_k_sq with zeros where deriv_k_sq is 0
-                    (Leray / Poisson kernel, consistent with the derivatives)
-    dealias_mask    True where every |k_axis| < (n/3)*(2*pi/L): the band's rows
-    off_nyquist     True off every Nyquist plane (k_axis = n/2 on some axis)
-    band            these symbols on the compact 2/3-rule band (Band); operators
-                    pick the full or the band ones by the data's shape (lattice)
+    band            the symbols on the 2/3-rule band (Band), which every
+                    spectral field and operator uses
     """
 
     n_per_axis: int
@@ -96,10 +90,16 @@ class Grid:
             raise ValueError(f"n_per_axis must be an even integer >= 4, got {n}")
         if not length > 0.0:
             raise ValueError(f"box_length must be positive, got {length}")
-        if not np.isfinite(2.0 * np.pi / length):
+        # the norms sum |k|^4 |f_hat|^2, up to |k|^4 / L^3 for a unit field,
+        # and scale by L^3: both must stay finite at the largest |k| of the box
+        log_k_max = math.log(math.sqrt(3.0) * n * math.pi) - math.log(length)
+        if 4.0 * log_k_max - 3.0 * math.log(length) >= _LOG_MAX:
             raise ValueError(
-                f"box_length {length!r} is too small: 2*pi/L is not finite"
+                f"box_length {length!r} is too small: |k|^4 / L^3 at the "
+                f"largest wavenumber overflows"
             )
+        if 3.0 * math.log(length) >= _LOG_MAX:
+            raise ValueError(f"box_length {length!r} is too large: L^3 overflows")
 
         k1 = axis_wavenumbers(n, length)
         dk1 = k1.copy()
@@ -123,29 +123,11 @@ class Grid:
         return _read_only(_sum_of_squares(self.kx, self.ky, self.kz))
 
     @cached_property
-    def deriv_k_sq(self) -> np.ndarray:
-        return _read_only(_sum_of_squares(self.dkx, self.dky, self.dkz))
-
-    @cached_property
-    def inv_deriv_k_sq(self) -> np.ndarray:
-        return _read_only(_inverse_or_zero(self.deriv_k_sq))
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return _read_only(self._product_mask(self.band.rows))
-
-    @cached_property
     def off_nyquist(self) -> np.ndarray:
         n = self.n_per_axis
-        return _read_only(self._product_mask(np.arange(n) != n // 2))
-
-    def _product_mask(self, keep: np.ndarray) -> np.ndarray:
-        """The (n, n, n) mask true where every axis index is kept by keep (a
-        1-D boolean mask or index array)."""
-        n = self.n_per_axis
-        keep1 = np.zeros(n, dtype=bool)
-        keep1[keep] = True
-        return keep1.reshape(n, 1, 1) & keep1.reshape(1, n, 1) & keep1.reshape(1, 1, n)
+        keep = np.arange(n) != n // 2
+        mask = keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep.reshape(1, 1, n)
+        return _read_only(mask)
 
     @property
     def spacing(self) -> float:
@@ -166,24 +148,18 @@ class Grid:
     def shape(self) -> tuple[int, int, int]:
         return (self.n_per_axis,) * 3
 
-    def lattice(self, data: np.ndarray) -> "Grid | Band":
-        """The holder of the symbols matching data: the band or the full grid."""
-        return self.band if data.shape[-3:] == self.band.shape else self
-
     def mode_sum(self, values: np.ndarray) -> float | complex:
-        """sum_k values(k) over every mode of a full or band array: on the band
-        a kz > 0 entry also stands for its mirror -k, so it counts twice."""
-        if self.lattice(values) is self.band:
-            return np.sum(self.band.weight * values)
-        return np.sum(values)
+        """sum_k values(k) over every mode of a band array: a kz > 0 entry
+        also stands for its mirror -k, so it counts twice."""
+        return np.sum(self.band.weight * values)
 
     def k_dot(self, data: np.ndarray) -> np.ndarray:
-        """k . f_hat of a full or band coefficient array (derivative
-        wavenumbers), summed x, y, z."""
-        s = self.lattice(data)
-        out = s.dkx * data[0]
-        out += s.dky * data[1]
-        out += s.dkz * data[2]
+        """k . f_hat of band coefficients (derivative wavenumbers), summed
+        x, y, z."""
+        band = self.band
+        out = band.dkx * data[0]
+        out += band.dky * data[1]
+        out += band.dkz * data[2]
         return out
 
 

@@ -1,11 +1,10 @@
 """Component-summed Lebesgue norms of vector fields.
 
 L2-type norms are evaluated spectrally (Parseval under the 1/n^3 forward
-normalization gives ||f||_2^2 = L^3 sum_k |f_hat|^2) on the full lattice or
-on the 2/3-rule band, where Grid.mode_sum counts each kz > 0 entry for its
-mirror too; L1 and Linf use cell-volume-weighted physical samples.  Gradient
-norms use the derivative wavenumbers (Nyquist zeroed) so they agree exactly
-with the derivative operators.
+normalization gives ||f||_2^2 = L^3 sum_k |f_hat|^2) on the 2/3-rule band,
+where Grid.mode_sum counts each kz > 0 entry for its mirror too; L1 and Linf
+use cell-volume-weighted physical samples.  Gradient norms use the band's
+derivative wavenumbers, so they agree exactly with the derivative operators.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import RealVectorField, SpectralVectorField
-from .fields import inverse_transform  # noqa: F401  (binding traced by perfbench)
 from .grid import Grid
 
 
@@ -31,12 +29,12 @@ def l2(f: SpectralVectorField) -> float:
 
 def l2_grad(f: SpectralVectorField) -> float:
     """||Df||_2: all nine first derivatives, component-summed."""
-    return _weighted_l2(f, f.grid.lattice(f.data).deriv_k_sq)
+    return _weighted_l2(f, f.grid.band.k_sq)
 
 
 def l2_grad2(f: SpectralVectorField) -> float:
     """||D^2 f||_2: all 27 second derivatives (weight |k|^4)."""
-    return _weighted_l2(f, f.grid.lattice(f.data).deriv_k_sq ** 2)
+    return _weighted_l2(f, f.grid.band.k_sq ** 2)
 
 
 def l2_div(f: SpectralVectorField) -> float:
@@ -64,5 +62,5 @@ def inner(f: SpectralVectorField, h: SpectralVectorField) -> float:
 
 
 def spectral_l2_sq(data: np.ndarray, grid: Grid) -> float:
-    """L^3 sum |data|^2 for raw full or band coefficient arrays."""
+    """L^3 sum |data|^2 for raw band coefficients."""
     return float(grid.volume * grid.mode_sum(np.abs(data) ** 2))

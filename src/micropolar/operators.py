@@ -1,9 +1,7 @@
 """Differential and projection operators in Fourier space.
 
-The linear operators act mode-wise on the full lattice or on the 2/3-rule
-band, picking their symbols by the data's layout (Grid.lattice).  First
-derivatives multiply by i*k with the Nyquist entry of the differentiated
-axis zeroed (its derivative has no real representation); composite operators
+The linear operators act mode-wise on the 2/3-rule band (Grid.band), the
+one spectral layout.  First derivatives multiply by i*k; composite operators
 (Laplacian, grad(div)) are built from the same derivative symbols so that
 operator identities hold exactly.
 
@@ -20,11 +18,9 @@ from .fields import (
     RealVectorField,
     ScalarField,
     SpectralVectorField,
-    band_data,
+    band_coefficients,
     forward_band,
-    forward_transform,
     inverse_band,
-    to_physical,
     to_spectral,
 )
 from .grid import Grid
@@ -48,35 +44,38 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
     """d/dx_axis applied to every component (axis 0 is x)."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    s = f.grid.lattice(f.data)
-    return SpectralVectorField(f.grid, 1j * (s.dkx, s.dky, s.dkz)[axis] * f.data)
+    band = f.grid.band
+    dk = (band.dkx, band.dky, band.dkz)[axis]
+    return SpectralVectorField(f.grid, 1j * dk * f.data)
 
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence i k . f_hat of a full or band coefficient array."""
+    """Spectral divergence i k . f_hat of band coefficients."""
     return 1j * grid.k_dot(data)
 
 
 def divergence(f: SpectralVectorField) -> ScalarField:
     """div f as a physical scalar field."""
-    return ScalarField(f.grid, to_physical(divergence_hat(f.data, f.grid), f.grid))
+    return ScalarField(f.grid, inverse_band(divergence_hat(f.data, f.grid), f.grid))
 
 
 def gradient(p: ScalarField) -> SpectralVectorField:
-    """Spectral gradient of a physical scalar field."""
+    """Spectral gradient of a physical scalar field; ValueError if the field
+    has content off the band."""
     g = p.grid
-    p_hat = forward_transform(p.values)
-    out = np.empty((3,) + g.shape, dtype=np.complex128)
-    out[0] = 1j * g.dkx * p_hat
-    out[1] = 1j * g.dky * p_hat
-    out[2] = 1j * g.dkz * p_hat
+    p_hat = band_coefficients(p.values, g)
+    band = g.band
+    out = np.empty((3,) + band.shape, dtype=np.complex128)
+    out[0] = 1j * band.dkx * p_hat
+    out[1] = 1j * band.dky * p_hat
+    out[2] = 1j * band.dkz * p_hat
     return SpectralVectorField(g, out)
 
 
 def curl_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral curl i k x f_hat of a full or band coefficient array."""
-    s = grid.lattice(data)
-    kx, ky, kz = s.dkx, s.dky, s.dkz
+    """Spectral curl i k x f_hat of band coefficients."""
+    band = grid.band
+    kx, ky, kz = band.dkx, band.dky, band.dkz
     out = np.empty_like(data)
     out[0] = 1j * (ky * data[2] - kz * data[1])
     out[1] = 1j * (kz * data[0] - kx * data[2])
@@ -91,17 +90,17 @@ def curl(f: SpectralVectorField) -> SpectralVectorField:
 
 def laplacian(f: SpectralVectorField) -> SpectralVectorField:
     """Componentwise Laplacian, symbol -|k|^2 (derivative wavenumbers)."""
-    return SpectralVectorField(f.grid, -f.grid.lattice(f.data).deriv_k_sq * f.data)
+    return SpectralVectorField(f.grid, -f.grid.band.k_sq * f.data)
 
 
 def grad_div_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """grad(div f) of a full or band coefficient array."""
-    s = grid.lattice(data)
+    """grad(div f) of band coefficients."""
+    band = grid.band
     div = divergence_hat(data, grid)
     out = np.empty_like(data)
-    out[0] = 1j * s.dkx * div
-    out[1] = 1j * s.dky * div
-    out[2] = 1j * s.dkz * div
+    out[0] = 1j * band.dkx * div
+    out[1] = 1j * band.dky * div
+    out[2] = 1j * band.dkz * div
     return out
 
 
@@ -116,14 +115,14 @@ def leray_hat(
     """Project raw coefficients onto divergence-free fields; k=0 mode to 0.
 
     Uses the derivative wavenumbers, so the kernel is exactly the span of the
-    implemented gradient operator.  Takes the full lattice or the band;
-    writes into out when given, which may be data itself.
+    implemented gradient operator.  Writes into out when given, which may be
+    data itself.
     """
-    s = grid.lattice(data)
+    band = grid.band
     factor = grid.k_dot(data)
-    factor *= s.inv_deriv_k_sq
+    factor *= band.inv_k_sq
     out = np.empty_like(data) if out is None else out
-    for component, dk in enumerate((s.dkx, s.dky, s.dkz)):
+    for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
         np.subtract(data[component], dk * factor, out=out[component])
     out[:, 0, 0, 0] = 0.0
     return out
@@ -132,14 +131,6 @@ def leray_hat(
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     """Helmholtz-Leray projection f_hat -> f_hat - k (k.f_hat)/|k|^2."""
     return SpectralVectorField(f.grid, leray_hat(f.data, f.grid))
-
-
-def dealias(f: SpectralVectorField) -> SpectralVectorField:
-    """Zero every coefficient with any |k_axis| above the 2/3-rule cutoff
-    (band data has none: a copy)."""
-    if f.grid.lattice(f.data) is f.grid.band:
-        return f.copy()
-    return SpectralVectorField(f.grid, f.data * f.grid.dealias_mask)
 
 
 # the six products v_i v_j with i <= j and their (row, axis) terms in
@@ -222,12 +213,8 @@ def advect_hat(
 
 
 def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorField:
-    """(v . grad) f on the band, by advect_hat; full-lattice fields are folded
-    first (fold_band refuses out-of-band coefficients)."""
-    g = v.grid
-    v_data = band_data(v.data, g)
-    f_data = v_data if f.data is v.data else band_data(f.data, g)
-    return SpectralVectorField(g, advect_hat(v_data, f_data, g))
+    """(v . grad) f, by advect_hat."""
+    return SpectralVectorField(v.grid, advect_hat(v.data, f.data, v.grid))
 
 
 def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> float:
@@ -239,7 +226,7 @@ def epsilon_cross_integral(w: SpectralVectorField, u: SpectralVectorField) -> fl
     """
     g = w.grid
     # elementwise, not np.vdot: a threaded BLAS dot can stall for milliseconds
-    flow = np.conj(g.lattice(w.data).deriv_k_sq * w.data) * curl_hat(u.data, g)
+    flow = np.conj(g.band.k_sq * w.data) * curl_hat(u.data, g)
     return float(g.volume * g.mode_sum(flow.real))
 
 
@@ -268,14 +255,20 @@ def gn_ratio_grad(u: RealVectorField) -> float:
 def single_mode(
     grid: Grid, component: int, axis: int, index: int = 1, amplitude: float = 1.0
 ) -> SpectralVectorField:
-    """amplitude * sin(index * (2 pi / L) * x_axis) in one component."""
-    data = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    """amplitude * sin(index * (2 pi / L) * x_axis) in one component, for
+    0 < index <= K (the band's cutoff).  Along z the band holds only the
+    +index coefficient; -index is its mirror."""
+    k = grid.band.cutoff
+    if not 0 < index <= k:
+        raise ValueError(f"mode index {index} outside the 2/3 band (1..{k})")
+    data = np.zeros((3,) + grid.band.shape, dtype=np.complex128)
     pos = [0, 0, 0]
-    neg = [0, 0, 0]
     pos[axis] = index
-    neg[axis] = grid.n_per_axis - index
     data[(component,) + tuple(pos)] = -0.5j * amplitude
-    data[(component,) + tuple(neg)] = 0.5j * amplitude
+    if axis != 2:
+        neg = [0, 0, 0]
+        neg[axis] = 2 * k + 1 - index
+        data[(component,) + tuple(neg)] = 0.5j * amplitude
     return SpectralVectorField(grid, data)
 
 
@@ -287,9 +280,9 @@ def random_band_limited(
 ) -> SpectralVectorField:
     """Mean-zero random field on the 2/3 band: forward_band of white noise.
 
-    envelope, if given on the band or the full lattice (then gathered onto
-    the band), multiplies the flat white-noise spectrum (any real radial
-    profile keeps the Hermitian symmetry of the noise).
+    envelope, if given (on the band), multiplies the flat white-noise
+    spectrum (any real radial profile keeps the Hermitian symmetry of the
+    noise).
     """
     # as many components at a time as the scratch batches: three (n, n, n)
     # draws are one (3, n, n, n) draw
@@ -302,8 +295,7 @@ def random_band_limited(
             rng.standard_normal(out=field)
         forward_band(batch, grid, data[start : start + len(batch)], scratch)
     if envelope is not None:
-        band = grid.band
-        data *= envelope if grid.lattice(envelope) is band else envelope[band.index]
+        data *= envelope
     data[:, 0, 0, 0] = 0.0
     if solenoidal:
         data = leray_hat(data, grid)
@@ -328,7 +320,7 @@ def calibration_ensemble(count: int = 1000, n: int = 32, seed: int = 20240917):
         width = center * 10.0 ** rng.uniform(-1.5, 0.3)
         envelope = np.exp(-((k_abs - center) ** 2) / (2.0 * width**2))
         spec = random_band_limited(grid, rng, envelope=envelope)
-        yield RealVectorField(grid, to_physical(spec.data, grid))
+        yield RealVectorField(grid, inverse_band(spec.data, grid))
 
 
 def calibrate_c_infty(count: int = 1000, n: int = 32, seed: int = 20240917) -> float:

@@ -11,6 +11,11 @@ cannot: its own width fixes the observed rate.
 All tau sweeps stay inside the periodization window 4 nu tau <= (L/8)^2,
 inside which the box evolution matches the whole-space one far below the
 test tolerances.
+
+The bumps are the one place the full (n, n, n) lattice is used: a sub-grid
+bump has modes beyond the 2/3 band, so they are raw full-lattice arrays
+(forward_transform / inverse_transform), never SpectralVectorFields, and
+their heat norms are sums over |k|^2 shells (heat_l2_norms).
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ def heat_apply(f: SpectralVectorField, nu: float, tau: float) -> SpectralVectorF
         raise ValueError(f"tau must be non-negative, got {tau}")
     if tau == 0.0:
         return f.copy()
-    k_sq = f.grid.lattice(f.data).k_sq
-    return SpectralVectorField(f.grid, f.data * np.exp(-nu * tau * k_sq))
+    return SpectralVectorField(f.grid, f.data * np.exp(-nu * tau * f.grid.band.k_sq))
 
 
 def decay_exponent(n: int, r: float, m: int) -> float:
@@ -204,15 +208,28 @@ def _alpha_weight(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
     return w
 
 
-def _shell_collapse(weighted: np.ndarray, grid: Grid) -> np.ndarray:
-    """Sum a non-negative full (n,n,n) or band array over integer |k/k_min|^2
-    shells (a band kz > 0 entry counts for its mirror too)."""
-    s = grid.lattice(weighted)
+def _shell_collapse(values: np.ndarray, k_sq: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sum values over integer |k/k_min|^2 shells, k_sq the |k|^2 of each
+    entry of values."""
     k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
-    msq = np.rint(s.k_sq / k_min_sq).astype(np.int64)
-    if s is grid.band:
-        weighted = s.weight * weighted
-    return np.bincount(msq.ravel(), weights=weighted.ravel())
+    msq = np.rint(k_sq / k_min_sq).astype(np.int64)
+    return np.bincount(msq.ravel(), weights=values.ravel())
+
+
+def heat_l2_norms(
+    f: RealVectorField, nu: float, taus, alpha: tuple[int, int, int] = (0, 0, 0)
+) -> np.ndarray:
+    """||D^alpha e^{nu Lap tau} f||_2 for each tau, summed over integer |k|^2
+    shells of f's full-lattice coefficients: a sub-grid bump keeps its modes
+    beyond the band."""
+    grid = f.grid
+    f_hat = forward_transform(f.data)
+    weighted = _alpha_weight(grid, alpha) * np.sum(np.abs(f_hat) ** 2, axis=0)
+    shells = _shell_collapse(weighted, grid.k_sq, grid) * grid.volume
+    k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
+    q_idx = np.arange(len(shells))
+    damp = (np.exp(-2.0 * nu * tau * k_min_sq * q_idx) for tau in taus)
+    return np.array([np.sqrt(np.dot(shells, d)) for d in damp])
 
 
 def fit_heat_decay(
@@ -240,25 +257,13 @@ def fit_heat_decay(
             f"(max tau {taus.max():.4g} > {win:.4g})"
         )
 
-    weight = _alpha_weight(grid, query.alpha)
-    k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
-    shells = []
-    norms_r = []
-    for f in ensemble:
-        f_hat = forward_transform(f.data)
-        weighted = weight * np.sum(np.abs(f_hat) ** 2, axis=0)
-        shells.append(_shell_collapse(weighted, grid) * grid.volume)
-        norms_r.append(lr_phys(f, query.r))
-
-    q_idx = np.arange(len(shells[0]))
-    envelope = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        damp = np.exp(-2.0 * query.nu * tau * k_min_sq * q_idx)
-        ratios = [
-            np.sqrt(np.dot(shell, damp)) / nr
-            for shell, nr in zip(shells, norms_r)
-        ]
-        envelope[i] = max(ratios)
+    envelope = np.max(
+        [
+            heat_l2_norms(f, query.nu, taus, query.alpha) / lr_phys(f, query.r)
+            for f in ensemble
+        ],
+        axis=0,
+    )
 
     expected = decay_exponent(3, query.r, query.order)
     log_nt = np.log(query.nu * taus)
@@ -431,9 +436,12 @@ def duhamel_terms(
         raise ValueError("trajectory is not time-ordered")
     t0 = svals[0]
 
+    band = grid.band
+
     def shells_of(data: np.ndarray) -> np.ndarray:
-        weighted_sq = np.sum(np.abs(data) ** 2, axis=0)
-        return _shell_collapse(weighted_sq, grid) * grid.volume
+        # a kz > 0 entry counts for its mirror too
+        weighted_sq = band.weight * np.sum(np.abs(data) ** 2, axis=0)
+        return _shell_collapse(weighted_sq, band.k_sq, grid) * grid.volume
 
     w0_shells = shells_of(states[0].w.data)
     # (sample, forcing, shell) for the advection, grad-div and curl forcings

@@ -24,13 +24,15 @@ from micropolar.checkpoint import (
     write_checkpoint,
 )
 from micropolar.cli import main
-from micropolar.config import ConfigError, parse_config_text
+from micropolar.config import _SCHEMA, ConfigError, parse_config_text
 from micropolar.diagnostics import RunAccumulator
 from micropolar.dynamics import Stepper, StepperConfig
 from micropolar.fields import (
     PhysicalParams,
     SimState,
     SpectralVectorField,
+    expand_band,
+    fold_band,
     hermitian_plane,
 )
 from micropolar.grid import make_grid
@@ -125,6 +127,72 @@ def test_parse_rejects_box_length_without_finite_wavenumbers(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="box_length 1e-320 is too small"):
             parse_config_text(text)
+
+
+@pytest.mark.parametrize("length", ["1e-200", "1e-80"])
+def test_cli_tiny_box_exit_2(tmp_path, capsys, length):
+    """A box so small that |k|^4 / L^3 overflows (1e-200 raised OverflowError
+    in make_initial, 1e-80 an overflowing norm naming no key) exits 2 with
+    one error line naming grid.L, before any output is written."""
+    text = small_config_text(tmp_path / "out").replace(
+        "grid.L = 12.566370614359172", f"grid.L = {length}"
+    )
+    peak = 2.0 * np.pi / float(length)
+    text = text.replace("ic.peak = 1.0", f"ic.peak = {peak!r}")
+    path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'grid.L'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_rejects_negative_seed(tmp_path):
+    text = small_config_text(tmp_path).replace("ic.seed = 9", "ic.seed = -1")
+    with pytest.raises(ConfigError, match=r"line 11, key 'ic.seed'.*non-negative"):
+        parse_config_text(text)
+
+
+def _builds_a_large_grid(key, value):
+    """True for a grid.n text above 64: the fuzz leaves allocation to the
+    memory tests."""
+    if key != "grid.n":
+        return False
+    try:
+        return int(value) > 64
+    except ValueError:
+        return False
+
+
+config_keys = st.sampled_from(sorted(_SCHEMA))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text())
+def test_config_fuzz_any_text_parses_or_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=config_keys, value=st.text().filter(lambda v: len(v.splitlines()) <= 1))
+def test_config_fuzz_any_value_parses_or_config_error(tmp_path_factory, key, value):
+    """Each known key given any value text, the rest valid: the config parses
+    or raises ConfigError, never another exception."""
+    if _builds_a_large_grid(key, value.split("#", 1)[0].strip()):
+        return
+    lines = small_config_text(tmp_path_factory.getbasetemp() / "fuzz").splitlines()
+    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+             for line in lines]
+    if not any(line.startswith(f"{key} =") for line in lines):
+        lines.append(f"{key} = {value}")
+    try:
+        parse_config_text("\n".join(lines))
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +381,19 @@ def test_full_lattice_checkpoint_reads_and_resumes(tmp_path, grid8):
     produced (header, then the whole (3, n, n, n) u and w) reads back onto the
     band, resumes like the state it holds, and is rewritten with the same
     numbers (zeros may lose their sign)."""
-    u = random_spectral_field(grid8, 21, solenoidal=True)
-    w = random_spectral_field(grid8, 22)
+    u, w = (
+        expand_band(random_spectral_field(grid8, seed, solenoidal).data, grid8)
+        for seed, solenoidal in ((21, True), (22, False))
+    )
     params = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
     header = struct.pack("<8sIddddd", b"MPOLAR01", 8, grid8.box_length, 0.5,
                          params.mu, params.gamma, params.chi)
     path = tmp_path / "full.bin"
-    path.write_bytes(header + u.data.tobytes() + w.data.tobytes())
+    path.write_bytes(header + u.tobytes() + w.tobytes())
     loaded, loaded_params = read_checkpoint(path)
-    direct = SimState(0.5, u, w)
+    direct = SimState(
+        0.5, *(SpectralVectorField(grid8, fold_band(f, grid8)) for f in (u, w))
+    )
     assert loaded_params == params
     assert loaded.u.data.shape == (3,) + grid8.band.shape
     stepper = Stepper(grid8, params, StepperConfig(dt=0.05, t_end=1.0))
@@ -365,7 +437,7 @@ def test_band_run_builds_no_full_lattice_symbols(tmp_path):
     cfg = parse_config_text(text.replace("grid.n = 8", "grid.n = 16"))
     result = execute_run(cfg)
     assert result.final_state.t == pytest.approx(1.0) and cfg.grid.n_per_axis == 16
-    lazy = {"k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "off_nyquist"}
+    lazy = {"k_sq", "off_nyquist"}
     assert not lazy & set(vars(cfg.grid))
 
 

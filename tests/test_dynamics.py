@@ -27,13 +27,7 @@ from micropolar.fields import (
 from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
-from micropolar.operators import (
-    curl,
-    grad_div,
-    laplacian,
-    leray_hat,
-    leray_project,
-)
+from micropolar.operators import curl, leray_hat, leray_project
 from micropolar.quadrature import corrected_trapezoid
 
 from conftest import advective_oracle, random_spectral_field, single_mode_field
@@ -299,23 +293,29 @@ def test_w_damping_bound_with_frozen_u(grid8):
 # band stepper against full-lattice oracles
 
 
-def full_field(f):
-    """The full-lattice (3, n, n, n) copy of a stored band field."""
-    return SpectralVectorField(f.grid, expand_band(f.data, f.grid))
-
-
 def full_lattice_rhs(state, p):
-    """(u_t, w_t) in advective form from the full-lattice operators."""
-    u, w = full_field(state.u), full_field(state.w)
-    n_u = SpectralVectorField(u.grid, -advective_oracle(u, u) + p.chi * curl(w).data)
-    u_t = leray_project(n_u).data + (p.mu + p.chi) * laplacian(u).data
-    w_t = (
-        -advective_oracle(u, w)
-        + p.chi * curl(u).data
-        + p.gamma * laplacian(w).data
-        + grad_div(w).data
-        - 2.0 * p.chi * w.data
+    """(u_t, w_t) in advective form on the full lattice, (3, n, n, n), with
+    the derivative symbols built here from the Grid's axis wavenumbers."""
+    g = state.grid
+    dk = np.stack(np.broadcast_arrays(g.dkx, g.dky, g.dkz))
+    k_sq = np.sum(dk**2, axis=0)
+    inv_k_sq = np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0.0)
+    u, w = (expand_band(f.data, g) for f in (state.u, state.w))
+
+    def curl_full(f):
+        return 1j * np.cross(dk, f, axis=0)
+
+    def grad_div_full(f):
+        return -dk * np.sum(dk * f, axis=0)
+
+    adv_u, adv_w = (
+        expand_band(advective_oracle(state.u, f), g) for f in (state.u, state.w)
     )
+    n_u = -adv_u + p.chi * curl_full(w)
+    u_t = n_u - dk * np.sum(dk * n_u, axis=0) * inv_k_sq  # Leray projection
+    u_t -= (p.mu + p.chi) * k_sq * u
+    w_t = -adv_w + p.chi * curl_full(u) - p.gamma * k_sq * w + grad_div_full(w)
+    w_t -= 2.0 * p.chi * w
     return u_t, w_t
 
 
@@ -326,7 +326,7 @@ def test_rhs_matches_full_lattice_oracle(n):
     for seed in range(3):
         state = random_state(grid, seed=800 + seed)
         for got, want in zip(rhs(state, p), full_lattice_rhs(state, p)):
-            got = full_field(got).data
+            got = expand_band(got.data, grid)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -344,8 +344,8 @@ def test_explicit_term_skew_and_flux_form_on_every_n(n):
         for term, field in ((n_u, state.u), (n_w, state.w)):
             term = SpectralVectorField(grid, term)
             assert abs(inner(term, field)) <= 1e-14 * l2(term) * l2(field)
-        want_u = -leray_hat(fold_band(advective_oracle(state.u, state.u), grid), grid)
-        want_w = -fold_band(advective_oracle(state.u, state.w), grid)
+        want_u = -leray_hat(advective_oracle(state.u, state.u), grid)
+        want_w = -advective_oracle(state.u, state.w)
         want_w[:, 0, 0, 0] = 0.0
         for got, want in ((n_u, want_u), (n_w, want_w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -374,10 +374,8 @@ def test_step_power_matches_energy_power(grid16):
     stepper.step(state)
     assert stepper.last_power == pytest.approx(energy_power(state, PARAMS), rel=1e-13)
     u_t, w_t = full_lattice_rhs(state, PARAMS)
-    full = 2.0 * (
-        inner(full_field(state.u), SpectralVectorField(grid16, u_t))
-        + inner(full_field(state.w), SpectralVectorField(grid16, w_t))
-    )
+    u, w = (expand_band(f.data, grid16) for f in (state.u, state.w))
+    full = 2.0 * grid16.volume * np.sum(np.conj(u) * u_t + np.conj(w) * w_t).real
     assert stepper.last_power == pytest.approx(full, rel=1e-13)
 
 
@@ -406,18 +404,26 @@ def test_step_working_set():
 
 @pytest.mark.parametrize("entry", ["state", "propagate_w"])
 def test_rejects_out_of_band_state(grid8, entry):
-    # K = 8//3 = 2: a mode of index 3 lies outside the 2/3 band; rhs and step
-    # take only a SimState, so SimState and propagate_w are the entry points
-    f = single_mode_field(grid8, component=1, axis=0, index=3, amplitude=0.1)
+    # K = (8-1)//3 = 2: a mode of index 3 lies outside the 2/3 band.  rhs and
+    # step take only a SimState, so SimState and propagate_w are the entry
+    # points; both take band fields only, and no band field holds the mode:
+    # single_mode refuses it, fold_band refuses a full-lattice array with it,
+    # and a SpectralVectorField refuses the full-lattice array itself
+    full = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    full[1, 3, 0, 0], full[1, 5, 0, 0] = -0.05j, 0.05j
     zero = zero_field(grid8)
     stepper = Stepper(grid8, PARAMS, StepperConfig(dt=0.01, t_end=1.0))
-    calls = {
-        "state": [lambda: SimState(0.0, f, zero), lambda: SimState(0.0, zero, f)],
-        "propagate_w": [lambda: stepper.propagate_w(f)],
+    consumers = {
+        "state": [lambda f: SimState(0.0, f, zero), lambda f: SimState(0.0, zero, f)],
+        "propagate_w": [stepper.propagate_w],
     }
-    for call in calls[entry]:
+    for consume in consumers[entry]:
         with pytest.raises(ValueError, match="outside the 2/3 band"):
-            call()
+            consume(single_mode_field(grid8, component=1, axis=0, index=3))
+        with pytest.raises(ValueError, match="outside the 2/3 band"):
+            consume(SpectralVectorField(grid8, fold_band(full, grid8)))
+        with pytest.raises(ValueError, match="fold_band"):
+            consume(SpectralVectorField(grid8, full))
 
 
 # ---------------------------------------------------------------------------

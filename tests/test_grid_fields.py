@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.fft import rfftn
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.fft import fftn, rfftn
 
 from micropolar.fields import (
     BandScratch,
@@ -14,14 +16,24 @@ from micropolar.fields import (
     expand_band,
     fold_band,
     forward_band,
+    hermitian_plane,
     inverse_band,
     to_real,
     to_spectral,
 )
 from micropolar.grid import make_grid
 from micropolar.norms import l2, l2_grad, lr_phys
+from micropolar.operators import random_band_limited
 
-from conftest import random_real_field, random_spectral_field, single_mode_field
+from conftest import (
+    band_gather,
+    random_real_field,
+    random_spectral_field,
+    single_mode_field,
+)
+
+even_n = st.sampled_from(range(4, 41, 2))
+seeds = st.integers(0, 2**32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +64,9 @@ def test_make_grid_rejects(n, L):
 
 
 def test_dealias_mask_n8():
+    # the band's rows are the 2/3 rule's kept wavenumbers, |k_axis| < n/3
     grid = make_grid(8, 2.0 * np.pi)
-    kept = sorted(grid.k1[np.where(grid.dealias_mask[:, 0, 0])[0]].tolist())
+    kept = sorted(grid.k1[grid.band.rows].tolist())
     assert kept == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
@@ -76,8 +89,8 @@ def test_single_sine_coefficients():
     mags = np.abs(spec.data)
     nonzero = np.argwhere(mags > 1e-14)
     assert len(nonzero) == 2
-    for comp, i, j, k in nonzero:
-        assert comp == 0 and (i, j, k) in {(1, 0, 0), (7, 0, 0)}
+    for comp, i, j, k in nonzero:  # band rows 0..2, then k = -2, -1
+        assert comp == 0 and (i, j, k) in {(1, 0, 0), (4, 0, 0)}
         assert np.isclose(mags[comp, i, j, k], 0.5)
 
 
@@ -104,12 +117,13 @@ def brute_force_dft(values: np.ndarray) -> np.ndarray:
 
 
 def test_matches_brute_force_dft():
+    # forward_band of white noise is the band of its DFT
     grid = make_grid(4, 2.0 * np.pi)
     f = random_real_field(grid, seed=7)
-    spec = to_spectral(f)
+    spec = forward_band(f.data, grid)
     for comp in range(3):
-        oracle = brute_force_dft(f.data[comp])
-        assert np.abs(spec.data[comp] - oracle).max() < 1e-12
+        oracle = band_gather(brute_force_dft(f.data[comp]), grid)
+        assert np.abs(spec[comp] - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -118,7 +132,7 @@ def test_roundtrip_ensemble(n):
     rng = np.random.default_rng(123 + n)
     worst = 0.0
     for _ in range(1000):
-        data = rng.standard_normal((3,) + grid.shape)
+        data = to_real(random_band_limited(grid, rng)).data
         back = to_real(to_spectral(RealVectorField(grid, data))).data
         worst = max(worst, np.abs(back - data).max() / np.abs(data).max())
     assert worst <= 1e-13
@@ -127,18 +141,34 @@ def test_roundtrip_ensemble(n):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_parseval(n):
     grid = make_grid(n, 5.0)
-    f = random_real_field(grid, seed=n)
+    f = to_real(random_spectral_field(grid, seed=n))
     phys_sq = grid.cell_volume * np.sum(f.data**2)
     spec_sq = l2(to_spectral(f)) ** 2
     assert abs(phys_sq - spec_sq) <= 1e-12 * phys_sq
 
 
 def test_hermitian_symmetry(grid8):
-    spec = to_spectral(random_real_field(grid8, seed=3))
-    n = grid8.n_per_axis
-    idx = (-np.arange(n)) % n
-    mirrored = spec.data[:, idx][:, :, idx][:, :, :, idx]
-    assert np.abs(spec.data - np.conj(mirrored)).max() < 1e-14
+    # the kz = 0 plane of real samples' band holds k and -k: f(-k) = conj f(k)
+    plane = forward_band(random_real_field(grid8, seed=3).data, grid8)[..., 0]
+    m = 2 * grid8.band.cutoff + 1
+    idx = (-np.arange(m)) % m
+    mirrored = plane[:, idx][:, :, idx]
+    assert np.abs(plane - np.conj(mirrored)).max() < 1e-14
+
+
+def test_to_spectral_refuses_samples_off_the_band(grid8):
+    noise = random_real_field(grid8, seed=4)
+    with pytest.raises(ValueError, match="off the 2/3 band"):
+        to_spectral(noise)
+    f = random_spectral_field(grid8, seed=4)
+    back = to_spectral(to_real(f)).data
+    assert np.abs(back - f.data).max() <= 1e-15 * np.abs(f.data).max()
+
+
+def test_spectral_field_refuses_the_full_lattice(grid8):
+    full = expand_band(random_spectral_field(grid8, seed=5).data, grid8)
+    with pytest.raises(ValueError, match="fold_band"):
+        SpectralVectorField(grid8, full)
 
 
 # ---------------------------------------------------------------------------
@@ -151,39 +181,50 @@ def band_rows(n):
     return np.r_[0 : k + 1, n - k : n]
 
 
-@pytest.mark.parametrize("n", [8, 16, 18])  # 18: 3 divides n, K = 5 < n/3
-def test_forward_band_matches_rfftn_and_mask(n):
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds)
+def test_forward_band_matches_rfftn_and_mask(n, seed):
+    """forward_band is rfftn's band: the rows with |k_axis| < n/3 (K =
+    (n-1)//3, also where 3 divides n), kz = 0..K; inverse_band takes it back
+    to the samples of the band part."""
     grid = make_grid(n, 2.0 * np.pi)
     k, rows = (n - 1) // 3, band_rows(n)
-    mask = grid.dealias_mask[..., : n // 2 + 1]
-    assert np.count_nonzero(mask) == (2 * k + 1) ** 2 * (k + 1)
-    assert mask[np.ix_(rows, rows, np.arange(k + 1))].all()
-    f = random_real_field(grid, seed=11)
-    want = rfftn(f.data, axes=(1, 2, 3), norm="forward") * mask
-    got = forward_band(f.data, grid)
+    assert np.array_equal(rows, grid.band.rows) and 3 * k < n <= 3 * (k + 1)
+    values = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
+    want = rfftn(values, axes=(1, 2, 3), norm="forward")
+    want = want[:, rows[:, None], rows, : k + 1]
+    got = forward_band(values, grid)
     assert got.shape == (3, 2 * k + 1, 2 * k + 1, k + 1)
-    want_band = want[:, rows][:, :, rows][..., : k + 1]
-    assert np.abs(got - want_band).max() <= 1e-15 * np.abs(want_band).max()
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    again = forward_band(inverse_band(got, grid), grid)  # of the band part
+    assert np.abs(again - got).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
 def test_band_symbols_are_the_full_lattice_gather(n):
     """Band builds its symbols from the 1-D lattices; they equal the gather of
-    the Grid's full-lattice arrays bit for bit, and the band is the mask."""
+    full-lattice symbols built here bit for bit (and of Grid.k_sq: the band
+    has no Nyquist mode)."""
     grid = make_grid(n, 3.0)
     band = grid.band
     assert band.cutoff == (n - 1) // 3 and 3 * band.cutoff < n
-    for name in ("k_sq", "deriv_k_sq", "inv_deriv_k_sq"):
-        got, want = getattr(band, name), getattr(grid, name)[band.index]
+    full_k_sq = grid.dkx**2 + grid.dky**2 + grid.dkz**2
+    full_inv = np.zeros_like(full_k_sq)
+    np.divide(1.0, full_k_sq, out=full_inv, where=full_k_sq > 0.0)
+    pairs = ((band.k_sq, full_k_sq), (band.k_sq, grid.k_sq), (band.inv_k_sq, full_inv))
+    for got, full in pairs:
+        want = band_gather(full, grid)
         assert got.shape == band.shape and got.tobytes() == want.tobytes()
-    assert np.count_nonzero(grid.dealias_mask) == (2 * band.cutoff + 1) ** 3
-    assert grid.dealias_mask[band.index].all()
+    kept = np.abs(grid.k1) < (n / 3) * 2.0 * np.pi / grid.box_length
+    assert np.count_nonzero(kept) == 2 * band.cutoff + 1
 
 
 def test_full_lattice_symbols_are_built_on_first_use():
     grid = make_grid(8, 2.0 * np.pi)
-    lazy = ("k_sq", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "off_nyquist")
+    lazy = ("k_sq", "off_nyquist")
     assert not set(lazy) & set(vars(grid))
+    for gone in ("deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "lattice"):
+        assert not hasattr(grid, gone)
     assert grid.k_sq is grid.k_sq and not grid.k_sq.flags.writeable
     assert grid == make_grid(8, 2.0 * np.pi)  # equality ignores the cache
     assert np.array_equal(grid.off_nyquist[:, 0, 0], np.arange(8) != 4)
@@ -214,19 +255,52 @@ def test_band_transforms_into_buffers_match_allocating_path(n):
         assert np.array_equal(back, inverse_band(coeffs, grid))
 
 
-@pytest.mark.parametrize("n", [8, 18])
-def test_fold_expand_round_trip(n):
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds)
+def test_fold_expand_round_trip(n, seed):
+    """expand_band gives the full-lattice DFT of the band's samples (numpy's
+    fftn here), exactly Hermitian; fold_band is its band gather, and the pair
+    round-trips, the kz = 0 plane becoming its Hermitian part."""
     grid = make_grid(n, 2.0 * np.pi)
-    spec = random_spectral_field(grid, seed=14).data
-    band = fold_band(spec, grid)
-    rows = band_rows(n)
-    assert np.array_equal(band, spec[:, rows][:, :, rows][..., : (n - 1) // 3 + 1])
+    band = random_band_limited(grid, np.random.default_rng(seed)).data
     full = expand_band(band, grid)
-    assert np.abs(full - spec).max() <= 1e-15 * np.abs(spec).max()
+    oracle = fftn(inverse_band(band, grid), axes=(1, 2, 3), norm="forward")
+    assert np.abs(full - oracle).max() <= 1e-14 * np.abs(oracle).max()
     neg = (-np.arange(n)) % n
     assert np.array_equal(full[:, neg][:, :, neg][:, :, :, neg], np.conj(full))
-    assert np.array_equal(expand_band(fold_band(full, grid), grid), full)
-    assert np.array_equal(fold_band(expand_band(band, grid), grid)[..., 1:], band[..., 1:])
+    folded = fold_band(full, grid)
+    assert np.array_equal(folded, band_gather(full, grid))
+    assert np.array_equal(folded[..., 1:], band[..., 1:])
+    assert np.array_equal(folded[..., 0], hermitian_plane(band, grid))
+    assert np.array_equal(expand_band(folded, grid), full)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds)
+def test_hermitian_plane_is_idempotent(n, seed):
+    grid = make_grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.band.shape
+    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    once = band.copy()
+    once[..., 0] = hermitian_plane(band, grid)
+    assert np.array_equal(hermitian_plane(once, grid), once[..., 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds, count=st.integers(1, 6))
+def test_batched_scratch_is_bitwise_one_field(n, seed, count):
+    """BandScratch.batched transforms several fields per call; every field
+    comes out bit for bit as with a one-field scratch."""
+    grid = make_grid(n, 2.0 * np.pi)
+    values = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
+    batched = BandScratch.batched(grid, count)
+    one = BandScratch(grid)
+    coeffs = forward_band(values, grid, scratch=batched)
+    back = inverse_band(coeffs, grid, scratch=batched)
+    for field, coeff, sample in zip(values, coeffs, back):
+        assert np.array_equal(forward_band(field, grid, scratch=one), coeff)
+        assert np.array_equal(inverse_band(coeff, grid, scratch=one), sample)
 
 
 @pytest.mark.parametrize("index", [(0, 0, 3), (0, 3, 0), (3, 0, 0), (5, 5, 5)])
@@ -240,15 +314,14 @@ def test_check_band_rejects_out_of_band(grid8, index):
 @pytest.mark.parametrize("n", [8, 16])
 def test_band_weight_sums(n):
     grid = make_grid(n, 2.0 * np.pi)
+    # the band's weighted sums are the full lattice's sums
     f = random_spectral_field(grid, seed=12)
-    band = fold_band(f.data, grid)
-    weight = grid.band.weight
-    assert weight.shape == (n // 3 + 1,)
-    sq = np.abs(band) ** 2
-    l2_sq = grid.volume * np.sum(weight * sq)
-    grad_sq = grid.volume * np.sum(weight * grid.band.deriv_k_sq * sq)
-    assert l2_sq == pytest.approx(l2(f) ** 2, rel=1e-13)
-    assert grad_sq == pytest.approx(l2_grad(f) ** 2, rel=1e-13)
+    assert grid.band.weight.shape == (n // 3 + 1,)
+    sq = np.abs(expand_band(f.data, grid)) ** 2
+    l2_sq = grid.volume * np.sum(sq)
+    grad_sq = grid.volume * np.sum((grid.dkx**2 + grid.dky**2 + grid.dkz**2) * sq)
+    assert l2(f) ** 2 == pytest.approx(l2_sq, rel=1e-13)
+    assert l2_grad(f) ** 2 == pytest.approx(grad_sq, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +374,11 @@ def test_lr_phys_matches_closed_form(grid8):
 
 
 def test_single_mode_builder_matches_sine(grid8):
-    f = single_mode_field(grid8, component=1, axis=0, index=2, amplitude=0.7)
     x = np.arange(8) * grid8.spacing
-    expected = 0.7 * np.sin(2.0 * x)[:, None, None]
-    assert np.abs(to_real(f).data[1] - expected).max() < 1e-13
+    for axis in range(3):
+        f = single_mode_field(grid8, component=1, axis=axis, index=2, amplitude=0.7)
+        shape = [-1 if a == axis else 1 for a in range(3)]
+        expected = 0.7 * np.sin(2.0 * x).reshape(shape)
+        assert np.abs(to_real(f).data[1] - expected).max() < 1e-13
+    with pytest.raises(ValueError, match="outside the 2/3 band"):
+        single_mode_field(grid8, component=1, axis=0, index=3)

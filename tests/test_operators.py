@@ -13,6 +13,8 @@ from micropolar.fields import (
     SpectralVectorField,
     expand_band,
     fold_band,
+    forward_band,
+    inverse_band,
     to_real,
 )
 from micropolar.grid import make_grid
@@ -24,7 +26,6 @@ from micropolar.operators import (
     advect_hat,
     calibration_ensemble,
     curl,
-    dealias,
     derivative,
     divergence,
     epsilon_cross_integral,
@@ -37,14 +38,25 @@ from micropolar.operators import (
     random_band_limited,
 )
 
-from conftest import advective_oracle, random_spectral_field, single_mode_field
+from conftest import (
+    advective_oracle,
+    band_gather,
+    random_spectral_field,
+    single_mode_field,
+)
 
 
 def hermitian_defect(data, grid):
-    n = grid.n_per_axis
-    idx = (-np.arange(n)) % n
-    mirrored = data[:, idx][:, :, idx][:, :, :, idx]
-    return np.abs(data - np.conj(mirrored)).max()
+    """|f(k) - conj f(-k)| on the band's kz = 0 plane, which holds both."""
+    m = 2 * grid.band.cutoff + 1
+    idx = (-np.arange(m)) % m
+    plane = data[..., 0]
+    return np.abs(plane - np.conj(plane[:, idx][:, :, idx])).max()
+
+
+def band_limited_noise(grid, rng):
+    """The band part of a white-noise scalar sample."""
+    return inverse_band(forward_band(rng.standard_normal(grid.shape), grid), grid)
 
 
 def test_linear_operators_preserve_hermitian_symmetry(grid8):
@@ -57,7 +69,6 @@ def test_linear_operators_preserve_hermitian_symmetry(grid8):
         laplacian,
         grad_div,
         leray_project,
-        dealias,
     ]
     for op in ops:
         out = op(f)
@@ -79,7 +90,7 @@ def test_levi_civita_entries():
 
 
 def test_derivative_of_constant(grid8):
-    data = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    data = np.zeros((3,) + grid8.band.shape, dtype=np.complex128)
     data[:, 0, 0, 0] = 2.5
     d = derivative(SpectralVectorField(grid8, data), 0)
     assert np.all(d.data == 0.0)
@@ -101,12 +112,10 @@ def test_derivative_matches_finite_differences():
     errors = []
     for n in (16, 32, 64):
         fine = make_grid(n, 2.0 * np.pi)
-        data = np.zeros((3,) + fine.shape, dtype=np.complex128)
-        # embed the coarse lattice {-1, 0, 1} (dealiased band of n=4)
-        for src, dst in [(0, 0), (1, 1), (3, n - 1)]:
-            for b_src, b_dst in [(0, 0), (1, 1), (3, n - 1)]:
-                for c_src, c_dst in [(0, 0), (1, 1), (3, n - 1)]:
-                    data[:, dst, b_dst, c_dst] = f4.data[:, src, b_src, c_src]
+        data = np.zeros((3,) + fine.band.shape, dtype=np.complex128)
+        # embed the band of n=4, {-1, 0, 1} (kz 0 and 1), in the fine band
+        rows = np.array([0, 1, 2 * fine.band.cutoff])
+        data[:, rows[:, None], rows, :2] = f4.data
         fld = SpectralVectorField(fine, data)
         exact = to_real(derivative(fld, 0)).data
         phys = to_real(fld).data
@@ -123,7 +132,7 @@ def test_derivative_matches_finite_differences():
 
 def test_curl_of_gradient_vanishes(grid8):
     rng = np.random.default_rng(0)
-    p = ScalarField(grid8, rng.standard_normal(grid8.shape))
+    p = ScalarField(grid8, band_limited_noise(grid8, rng))
     residual = curl(gradient(p))
     assert np.abs(residual.data).max() < 1e-13
 
@@ -154,9 +163,15 @@ def test_vector_identity_100_fields(grid8):
 # Leray projection
 
 
+def test_gradient_refuses_samples_off_the_band(grid8):
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="off the 2/3 band"):
+        gradient(ScalarField(grid8, rng.standard_normal(grid8.shape)))
+
+
 def test_leray_kills_gradients(grid8):
     rng = np.random.default_rng(2)
-    p = ScalarField(grid8, rng.standard_normal(grid8.shape))
+    p = ScalarField(grid8, band_limited_noise(grid8, rng))
     projected = leray_project(gradient(p))
     assert np.abs(projected.data).max() < 1e-13
 
@@ -206,33 +221,36 @@ def test_divergence_defect_matches_full_lattice_norms(n):
 
 
 # ---------------------------------------------------------------------------
-# dealiasing
+# dealiasing: the 2/3 rule is the band itself (forward_band keeps its modes)
 
 
 def test_dealias_preserves_inner_band(grid8):
     f = random_spectral_field(grid8, seed=5)  # already band-limited
-    assert np.array_equal(dealias(f).data, f.data)
+    again = forward_band(inverse_band(f.data, grid8), grid8)
+    assert np.abs(again - f.data).max() <= 1e-15 * np.abs(f.data).max()
 
 
 def test_dealias_idempotent(grid8):
+    # the band of complex noise, made the band of a real field by
+    # fold_band o expand_band, is a projection
     rng = np.random.default_rng(6)
     for _ in range(100):
         raw = rng.standard_normal((3,) + grid8.shape) + 1j * rng.standard_normal(
             (3,) + grid8.shape
         )
-        f = SpectralVectorField(grid8, raw)
-        once = dealias(f)
-        twice = dealias(once)
-        assert np.array_equal(once.data, twice.data)
+        once = fold_band(expand_band(band_gather(raw, grid8), grid8), grid8)
+        twice = fold_band(expand_band(once, grid8), grid8)
+        assert np.array_equal(once, twice)
 
 
 def test_dealias_retained_modes_n8():
+    # samples holding every x wavenumber: the band keeps |k| <= 2 of 0..4
     grid = make_grid(8, 2.0 * np.pi)
-    f = SpectralVectorField(
-        grid, np.ones((3,) + grid.shape, dtype=np.complex128)
-    )
-    kept = dealias(f).data[0, :, 0, 0] != 0.0
-    retained = sorted(int(round(k)) for k in grid.k1[kept])
+    x = np.arange(8) * grid.spacing
+    values = np.zeros((3,) + grid.shape)
+    values[0] = sum(np.cos(m * x) for m in range(5))[:, None, None]
+    kept = np.abs(forward_band(values, grid)[0, :, 0, 0]) > 1e-12
+    retained = sorted(int(round(k)) for k in grid.k1[grid.band.rows[kept]])
     assert retained == [-2, -1, 0, 1, 2]
 
 
@@ -243,9 +261,9 @@ def test_dealias_retained_modes_n8():
 def test_advect_zero_cases(grid8):
     v = random_spectral_field(grid8, seed=7, solenoidal=True)
     zero = SpectralVectorField(
-        grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128)
+        grid8, np.zeros((3,) + grid8.band.shape, dtype=np.complex128)
     )
-    const = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    const = np.zeros((3,) + grid8.band.shape, dtype=np.complex128)
     const[:, 0, 0, 0] = 3.0
     assert np.abs(advect(zero, v).data).max() == 0.0
     assert np.abs(advect(v, SpectralVectorField(grid8, const)).data).max() < 1e-15
@@ -261,12 +279,11 @@ def test_advect_skew_symmetry(grid8):
         assert abs(val) <= 1e-11 * scale
 
 
-def test_advect_folds_full_lattice_fields(grid8):
+def test_advect_is_advect_hat(grid8):
     v = random_spectral_field(grid8, seed=10, solenoidal=True)
     f = random_spectral_field(grid8, seed=11)
-    band_v, band_f = (fold_band(x.data, grid8) for x in (v, f))
-    assert np.array_equal(advect(v, f).data, advect_hat(band_v, band_f, grid8))
-    assert np.array_equal(advect(v, v).data, advect_hat(band_v, band_v, grid8))
+    assert np.array_equal(advect(v, f).data, advect_hat(v.data, f.data, grid8))
+    assert np.array_equal(advect(v, v).data, advect_hat(v.data, v.data, grid8))
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,21 +299,21 @@ def test_advect_hat_properties_on_every_n(n, seed):
     got = advect_hat(u.data, f.data, grid)
     term = SpectralVectorField(grid, got)
     assert abs(inner(term, f)) <= 1e-14 * l2(term) * l2(f)
-    want = fold_band(advective_oracle(u, f), grid)
+    want = advective_oracle(u, f)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     six = advect_hat(u.data, u.data, grid)
     nine = advect_hat(u.data, u.data.copy(), grid)
     assert np.abs(six - nine).max() <= 1e-13 * np.abs(nine).max()
 
 
-def convolution_advection_oracle(v: SpectralVectorField, f: SpectralVectorField):
-    """Direct convolution sum for (v . grad) f, truncated to the grid lattice.
+def convolution_advection_oracle(v: np.ndarray, f: np.ndarray, grid):
+    """Direct convolution sum for (v . grad) f of full-lattice coefficients,
+    truncated to the grid lattice.
 
     [(v . grad) f]_i^(k) = sum_j sum_{p+q=k} v_j^(p) * (i q_j) f_i^(q),
     with p + q = k meant without aliasing (images beyond the lattice dropped,
     which matches the dealiased pseudo-spectral product on the retained band).
     """
-    grid = v.grid
     n = grid.n_per_axis
     shift = n // 2 - 1
     # index arithmetic on integer lattice coordinates in [-n/2+1, n/2]
@@ -304,11 +321,11 @@ def convolution_advection_oracle(v: SpectralVectorField, f: SpectralVectorField)
     out = np.zeros((3,) + grid.shape, dtype=np.complex128)
     dk = [grid.dkx, grid.dky, grid.dkz]
     for j in range(3):
-        grad_f = 1j * dk[j] * f.data  # (3, n, n, n), component i
+        grad_f = 1j * dk[j] * f  # (3, n, n, n), component i
         for pa in range(n):
             for pb in range(n):
                 for pc in range(n):
-                    vp = v.data[j, pa, pb, pc]
+                    vp = v[j, pa, pb, pc]
                     if vp == 0.0:
                         continue
                     # k = p + q: shift the grad_f block by the integer vector p
@@ -336,7 +353,8 @@ def test_advect_matches_convolution_oracle():
     v = random_spectral_field(grid, seed=8, solenoidal=True)
     f = random_spectral_field(grid, seed=9)
     fast = advect(v, f)
-    oracle = fold_band(convolution_advection_oracle(v, f) * grid.dealias_mask, grid)
+    full_v, full_f = (expand_band(x.data, grid) for x in (v, f))
+    oracle = band_gather(convolution_advection_oracle(full_v, full_f, grid), grid)
     scale = max(np.abs(oracle).max(), 1e-30)
     assert np.abs(fast.data - oracle).max() <= 1e-12 * scale
 
@@ -355,10 +373,11 @@ def test_cross_integral_matches_operator_composition(grid8):
     val = epsilon_cross_integral(w, u)
     assert abs(val - oracle) <= 1e-10 * max(abs(oracle), 1.0)
     # Oracle: the eps_{ijk} contraction written out against LEVI_CIVITA,
-    # L^3 sum_k |k|^2 k_j Re[i conj(w_i) u_k].
+    # L^3 sum_k |k|^2 k_j Re[i conj(w_i) u_k], summed on the full lattice.
     kvec = np.stack(np.broadcast_arrays(grid8.dkx, grid8.dky, grid8.dkz))
-    weighted = np.conj(w.data) * grid8.deriv_k_sq
-    contraction = np.einsum("ijk,jabc,iabc,kabc->", LEVI_CIVITA, kvec, weighted, u.data)
+    full_w, full_u = (expand_band(x.data, grid8) for x in (w, u))
+    weighted = np.conj(full_w) * np.sum(kvec**2, axis=0)
+    contraction = np.einsum("ijk,jabc,iabc,kabc->", LEVI_CIVITA, kvec, weighted, full_u)
     explicit = -grid8.volume * contraction.imag
     assert abs(val - explicit) <= 1e-13 * abs(explicit)
 
@@ -366,7 +385,7 @@ def test_cross_integral_matches_operator_composition(grid8):
 def test_cross_integral_vanishes_without_either_field(grid8):
     u = random_spectral_field(grid8, seed=23, solenoidal=True)
     zero = SpectralVectorField(
-        grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128)
+        grid8, np.zeros((3,) + grid8.band.shape, dtype=np.complex128)
     )
     assert epsilon_cross_integral(zero, u) == 0.0
     assert epsilon_cross_integral(u, zero) == 0.0
@@ -398,13 +417,15 @@ def test_gn_infty_refinement_stability(seed):
     # well inside the grid for the ratio to be grid-converged.
     coarse = make_grid(32, 2.0 * np.pi)
     rng = np.random.default_rng(seed)
-    envelope = (np.sqrt(coarse.k_sq) <= 2.0).astype(float)
+    envelope = (np.sqrt(coarse.band.k_sq) <= 2.0).astype(float)
     f = random_band_limited(coarse, rng, envelope=envelope)
     r_coarse = gn_ratio_infty(to_real(f))
     fine = make_grid(64, 2.0 * np.pi)
-    embedded = np.zeros((3,) + fine.shape, dtype=np.complex128)
-    idx = np.rint(coarse.k1 / (2.0 * np.pi / coarse.box_length)).astype(int)
-    embedded[np.ix_(np.arange(3), idx, idx, idx)] = expand_band(f.data, coarse)
+    # the coarse band's wavenumbers placed in the fine band
+    kc, kf = coarse.band.cutoff, fine.band.cutoff
+    rows = np.r_[0 : kc + 1, 2 * kf + 1 - kc : 2 * kf + 1]
+    embedded = np.zeros((3,) + fine.band.shape, dtype=np.complex128)
+    embedded[:, rows[:, None], rows, : kc + 1] = f.data
     r_fine = gn_ratio_infty(to_real(SpectralVectorField(fine, embedded)))
     assert abs(r_fine - r_coarse) <= 0.02 * r_coarse
 

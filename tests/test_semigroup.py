@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from micropolar.dynamics import InitialCondition, StepperConfig, evolve, make_initial
-from micropolar.fields import (
-    PhysicalParams,
-    SimState,
-    to_spectral,
-    zero_spectral,
-)
+from micropolar.fields import PhysicalParams, SimState, zero_spectral
 from micropolar.grid import make_grid
 from micropolar.norms import l2, l2_grad
 from micropolar.operators import curl, derivative, leray_project
@@ -30,6 +25,7 @@ from micropolar.semigroup import (
     fit_heat_decay,
     gaussian_bump,
     heat_apply,
+    heat_l2_norms,
     periodization_window,
 )
 
@@ -85,21 +81,39 @@ def test_heat_commutes_with_operators(grid8):
 def test_heat_gaussian_closed_form():
     # ||e^{nu Lap tau} f||_2 for an isotropic Gaussian of width s is
     # sqrt(3) pi^{3/4} s^3 (s^2 + 2 nu tau)^{-3/4} on R^3 (3 components).
+    # The bump has modes beyond the band: its norms are full-lattice shell sums.
     grid = make_grid(32, 2.0 * np.pi)
     sigma = 1.5 * grid.spacing
     centers = np.full((3, 3), grid.box_length / 2.0)
-    f = to_spectral(gaussian_bump(grid, sigma, centers))
+    f = gaussian_bump(grid, sigma, centers)
     nu = 0.7
     win = periodization_window(grid, nu)
-    for tau in np.linspace(win / 50.0, win, 8):
-        measured = l2(heat_apply(f, nu, tau))
+    taus = np.linspace(win / 50.0, win, 8)
+    measured = heat_l2_norms(f, nu, taus)
+    for tau, value in zip(taus, measured):
         exact = (
             math.sqrt(3.0)
             * np.pi**0.75
             * sigma**3
             * (sigma**2 + 2.0 * nu * tau) ** -0.75
         )
-        assert abs(measured - exact) <= 1e-6 * exact
+        assert abs(value - exact) <= 1e-6 * exact
+
+
+def test_heat_l2_norms_match_the_band_on_band_fields(grid8):
+    # the full-lattice shell sums of the bump fits against the band's heat
+    # propagator and norms, on a field that lives on the band
+    from micropolar.fields import to_real, to_spectral
+
+    f = to_real(random_spectral_field(grid8, seed=6))
+    spec = to_spectral(f)
+    taus = np.array([0.0, 0.1, 0.7])
+    for alpha in ((0, 0, 0), (1, 0, 0)):
+        got = heat_l2_norms(f, 0.3, taus, alpha)
+        heated = [heat_apply(spec, 0.3, tau) for tau in taus]
+        if alpha[0]:
+            heated = [derivative(h, 0) for h in heated]
+        assert np.allclose(got, [l2(h) for h in heated], rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
