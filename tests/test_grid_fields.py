@@ -181,9 +181,7 @@ def band_rows(n):
     return np.r_[0 : k + 1, n - k : n]
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=even_n, seed=seeds)
-def test_forward_band_matches_rfftn_and_mask(n, seed):
+def check_forward_band_matches_rfftn(n, seed):
     """forward_band is rfftn's band: the rows with |k_axis| < n/3 (K =
     (n-1)//3, also where 3 divides n), kz = 0..K; inverse_band takes it back
     to the samples of the band part."""
@@ -198,6 +196,17 @@ def test_forward_band_matches_rfftn_and_mask(n, seed):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     again = forward_band(inverse_band(got, grid), grid)  # of the band part
     assert np.abs(again - got).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])
+def test_forward_band_matches_rfftn_and_mask(n):
+    check_forward_band_matches_rfftn(n, seed=11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds)
+def test_forward_band_matches_rfftn_sweep(n, seed):
+    check_forward_band_matches_rfftn(n, seed)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
@@ -255,9 +264,7 @@ def test_band_transforms_into_buffers_match_allocating_path(n):
         assert np.array_equal(back, inverse_band(coeffs, grid))
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=even_n, seed=seeds)
-def test_fold_expand_round_trip(n, seed):
+def check_fold_expand_round_trip(n, seed):
     """expand_band gives the full-lattice DFT of the band's samples (numpy's
     fftn here), exactly Hermitian; fold_band is its band gather, and the pair
     round-trips, the kz = 0 plane becoming its Hermitian part."""
@@ -273,6 +280,17 @@ def test_fold_expand_round_trip(n, seed):
     assert np.array_equal(folded[..., 1:], band[..., 1:])
     assert np.array_equal(folded[..., 0], hermitian_plane(band, grid))
     assert np.array_equal(expand_band(folded, grid), full)
+
+
+@pytest.mark.parametrize("n", [8, 18])
+def test_fold_expand_round_trip(n):
+    check_fold_expand_round_trip(n, seed=14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=even_n, seed=seeds)
+def test_fold_expand_round_trip_sweep(n, seed):
+    check_fold_expand_round_trip(n, seed)
 
 
 @settings(max_examples=30, deadline=None)
