@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +53,6 @@ def _sum_of_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x**2 + y**2 + z**2
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
-
-
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -66,15 +60,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 class Grid:
     """Cubic periodic box with n_per_axis points per axis and period box_length.
 
-    Derived spectral arrays are shared by every operator.  The 1-D lattices
-    and the band are built with the grid; the two full-lattice (n, n, n)
-    arrays, which only the heat-kernel fits over sub-grid bumps use, are
-    built on first use (a run never builds them):
+    Derived spectral arrays are shared by every operator; none is a full
+    (n, n, n) lattice:
 
     k1              1D lattice, Nyquist stored as +n/2
     kx, ky, kz      broadcastable axis wavenumbers, shapes (n,1,1), (1,n,1), (1,1,n)
-    k_sq            |k|^2 including the Nyquist mode (full lattice)
-    off_nyquist     True off every Nyquist plane (k_axis = n/2 on some axis)
     dk1             1D lattice with the Nyquist entry zeroed (derivative symbol)
     dkx, dky, dkz   broadcastable derivative wavenumbers
     band            the symbols on the 2/3-rule band (Band), which every
@@ -88,11 +78,17 @@ class Grid:
         n, length = self.n_per_axis, self.box_length
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_per_axis must be an even integer >= 4, got {n}")
+        k = (n - 1) // 3  # a field's band holds 3 (2K+1)^2 (K+1) complex128
+        if 48 * (2 * k + 1) ** 2 * (k + 1) > np.iinfo(np.intp).max:
+            raise ValueError(
+                "n_per_axis is too large: a field's band has more bytes than "
+                "an array can index"
+            )
         if not length > 0.0:
             raise ValueError(f"box_length must be positive, got {length}")
         # the norms sum |k|^4 |f_hat|^2, up to |k|^4 / L^3 for a unit field,
         # and scale by L^3: both must stay finite at the largest |k| of the box
-        log_k_max = math.log(math.sqrt(3.0) * n * math.pi) - math.log(length)
+        log_k_max = math.log(math.sqrt(3.0) * math.pi) + math.log(n) - math.log(length)
         if 4.0 * log_k_max - 3.0 * math.log(length) >= _LOG_MAX:
             raise ValueError(
                 f"box_length {length!r} is too small: |k|^4 / L^3 at the "
@@ -117,17 +113,6 @@ class Grid:
         for name in ("k1", "dk1", "kx", "ky", "kz", "dkx", "dky", "dkz"):
             getattr(self, name).setflags(write=False)
         set_(self, "band", Band(self))
-
-    @cached_property
-    def k_sq(self) -> np.ndarray:
-        return _read_only(_sum_of_squares(self.kx, self.ky, self.kz))
-
-    @cached_property
-    def off_nyquist(self) -> np.ndarray:
-        n = self.n_per_axis
-        keep = np.arange(n) != n // 2
-        mask = keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep.reshape(1, 1, n)
-        return _read_only(mask)
 
     @property
     def spacing(self) -> float:

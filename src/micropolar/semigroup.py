@@ -103,16 +103,18 @@ def gaussian_bump(
     degrade gracefully into band-limited spikes.  Nyquist planes are zeroed
     to keep the field real.
     """
-    g = grid
+    g, n = grid, grid.n_per_axis
     prefactor = amplitude * (2.0 * np.pi * width**2) ** 1.5 / g.volume
-    radial = prefactor * np.exp(-0.5 * width**2 * g.k_sq)
+    radial = prefactor * np.exp(-0.5 * width**2 * _full_k_sq(g))
+    keep = np.arange(n) != n // 2
+    off_nyquist = keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep.reshape(1, 1, n)
     data = np.empty((3,) + g.shape, dtype=np.complex128)
     for comp in range(3):
         cx, cy, cz = centers[comp]
         phase = np.exp(
             -1j * (g.kx * cx + g.ky * cy + g.kz * cz)
         )
-        data[comp] = radial * phase * g.off_nyquist
+        data[comp] = radial * phase * off_nyquist
     return RealVectorField(g, inverse_transform(data))
 
 
@@ -208,6 +210,11 @@ def _alpha_weight(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
     return w
 
 
+def _full_k_sq(grid: Grid) -> np.ndarray:
+    """|k|^2 on the full (n, n, n) lattice, Nyquist mode included."""
+    return grid.kx**2 + grid.ky**2 + grid.kz**2
+
+
 def _shell_collapse(values: np.ndarray, k_sq: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum values over integer |k/k_min|^2 shells, k_sq the |k|^2 of each
     entry of values."""
@@ -225,7 +232,7 @@ def heat_l2_norms(
     grid = f.grid
     f_hat = forward_transform(f.data)
     weighted = _alpha_weight(grid, alpha) * np.sum(np.abs(f_hat) ** 2, axis=0)
-    shells = _shell_collapse(weighted, grid.k_sq, grid) * grid.volume
+    shells = _shell_collapse(weighted, _full_k_sq(grid), grid) * grid.volume
     k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
     q_idx = np.arange(len(shells))
     damp = (np.exp(-2.0 * nu * tau * k_min_sq * q_idx) for tau in taus)
@@ -287,9 +294,9 @@ def discrete_l1_smoothing_constant(grid: Grid, nu: float, taus) -> float:
     returns the max over the given tau values.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    best = 0.0
+    k_sq, best = _full_k_sq(grid), 0.0
     for tau in taus:
-        lattice_sum = float(np.sum(np.exp(-2.0 * nu * tau * grid.k_sq)))
+        lattice_sum = float(np.sum(np.exp(-2.0 * nu * tau * k_sq)))
         best = max(best, (nu * tau) ** 0.75 * np.sqrt(lattice_sum / grid.volume))
     return best
 

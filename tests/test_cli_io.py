@@ -154,18 +154,32 @@ def test_parse_rejects_negative_seed(tmp_path):
         parse_config_text(text)
 
 
-def _builds_a_large_grid(key, value):
-    """True for a grid.n text above 64: the fuzz leaves allocation to the
-    memory tests."""
-    if key != "grid.n":
-        return False
-    try:
-        return int(value) > 64
-    except ValueError:
-        return False
+@pytest.mark.parametrize("digits", [21, 400])
+def test_cli_huge_grid_n_exit_2(tmp_path, capsys, digits):
+    """A grid.n whose band an array cannot index (10^20; 10^399 overflowed a
+    float and ended in a traceback) exits 2 with one error line naming grid.n,
+    before anything is allocated or written."""
+    n = "1" + "0" * (digits - 1)
+    text = small_config_text(tmp_path / "out").replace("grid.n = 8", f"grid.n = {n}")
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'grid.n'" in err[0]
+    assert "too large" in err[0] and not (tmp_path / "out").exists()
+
+
+class _NoBand:
+    """Stands in for grid.Band in the grid.n fuzz: a large n runs all of
+    Grid's checks without allocating its band symbols."""
+
+    def __init__(self, grid):
+        pass
 
 
 config_keys = st.sampled_from(sorted(_SCHEMA))
+value_texts = st.one_of(  # one line; integers up to 500 digits as well
+    st.text().filter(lambda v: len(v.splitlines()) <= 1),
+    st.integers(-(10**500), 10**500).map(str),
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,21 +192,22 @@ def test_config_fuzz_any_text_parses_or_config_error(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=config_keys, value=st.text().filter(lambda v: len(v.splitlines()) <= 1))
+@given(key=config_keys, value=value_texts)
 def test_config_fuzz_any_value_parses_or_config_error(tmp_path_factory, key, value):
     """Each known key given any value text, the rest valid: the config parses
     or raises ConfigError, never another exception."""
-    if _builds_a_large_grid(key, value.split("#", 1)[0].strip()):
-        return
     lines = small_config_text(tmp_path_factory.getbasetemp() / "fuzz").splitlines()
     lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
              for line in lines]
     if not any(line.startswith(f"{key} =") for line in lines):
         lines.append(f"{key} = {value}")
-    try:
-        parse_config_text("\n".join(lines))
-    except ConfigError:
-        pass
+    with pytest.MonkeyPatch.context() as patch:
+        if key == "grid.n":
+            patch.setattr(micropolar.grid, "Band", _NoBand)
+        try:
+            parse_config_text("\n".join(lines))
+        except ConfigError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +452,8 @@ def test_band_run_builds_no_full_lattice_symbols(tmp_path):
     cfg = parse_config_text(text.replace("grid.n = 8", "grid.n = 16"))
     result = execute_run(cfg)
     assert result.final_state.t == pytest.approx(1.0) and cfg.grid.n_per_axis == 16
-    lazy = {"k_sq", "off_nyquist"}
-    assert not lazy & set(vars(cfg.grid))
+    for held in (vars(cfg.grid), vars(cfg.grid.band)):
+        assert all(np.ndim(v) < 3 or np.size(v) < 16**3 for v in held.values())
 
 
 def test_run_zero_amplitude_all_zero_rows(tmp_path):

@@ -16,14 +16,17 @@ from micropolar.fields import (
     expand_band,
     fold_band,
     forward_band,
+    forward_transform,
     hermitian_plane,
     inverse_band,
+    inverse_transform,
     to_real,
     to_spectral,
 )
 from micropolar.grid import make_grid
 from micropolar.norms import l2, l2_grad, lr_phys
 from micropolar.operators import random_band_limited
+from micropolar.semigroup import _full_k_sq
 
 from conftest import (
     band_gather,
@@ -117,30 +120,41 @@ def brute_force_dft(values: np.ndarray) -> np.ndarray:
 
 
 def test_matches_brute_force_dft():
-    # forward_band of white noise is the band of its DFT
+    # every mode of forward_transform, and forward_band as the DFT's band
     grid = make_grid(4, 2.0 * np.pi)
     f = random_real_field(grid, seed=7)
-    spec = forward_band(f.data, grid)
+    full = forward_transform(f.data)
+    band = forward_band(f.data, grid)
     for comp in range(3):
-        oracle = band_gather(brute_force_dft(f.data[comp]), grid)
-        assert np.abs(spec[comp] - oracle).max() < 1e-12
+        oracle = brute_force_dft(f.data[comp])
+        assert np.abs(full[comp] - oracle).max() < 1e-12
+        assert np.abs(band[comp] - band_gather(oracle, grid)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_roundtrip_ensemble(n):
+    # white noise through the full transforms, band-limited fields through
+    # to_spectral / to_real
     grid = make_grid(n, 2.0 * np.pi)
     rng = np.random.default_rng(123 + n)
-    worst = 0.0
+    worst = worst_band = 0.0
     for _ in range(1000):
+        data = rng.standard_normal((3,) + grid.shape)
+        back = inverse_transform(forward_transform(data))
+        worst = max(worst, np.abs(back - data).max() / np.abs(data).max())
         data = to_real(random_band_limited(grid, rng)).data
         back = to_real(to_spectral(RealVectorField(grid, data))).data
-        worst = max(worst, np.abs(back - data).max() / np.abs(data).max())
-    assert worst <= 1e-13
+        worst_band = max(worst_band, np.abs(back - data).max() / np.abs(data).max())
+    assert worst <= 1e-13 and worst_band <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_parseval(n):
     grid = make_grid(n, 5.0)
+    noise = random_real_field(grid, seed=n).data
+    phys_sq = grid.cell_volume * np.sum(noise**2)
+    spec_sq = grid.volume * np.sum(np.abs(forward_transform(noise)) ** 2)
+    assert abs(phys_sq - spec_sq) <= 1e-12 * phys_sq
     f = to_real(random_spectral_field(grid, seed=n))
     phys_sq = grid.cell_volume * np.sum(f.data**2)
     spec_sq = l2(to_spectral(f)) ** 2
@@ -148,8 +162,15 @@ def test_parseval(n):
 
 
 def test_hermitian_symmetry(grid8):
-    # the kz = 0 plane of real samples' band holds k and -k: f(-k) = conj f(k)
-    plane = forward_band(random_real_field(grid8, seed=3).data, grid8)[..., 0]
+    # real samples: f(-k) = conj f(k) on the full lattice, and on the band's
+    # kz = 0 plane, which holds both k and -k
+    values = random_real_field(grid8, seed=3).data
+    spec = forward_transform(values)
+    n = grid8.n_per_axis
+    idx = (-np.arange(n)) % n
+    mirrored = spec[:, idx][:, :, idx][:, :, :, idx]
+    assert np.abs(spec - np.conj(mirrored)).max() < 1e-14
+    plane = forward_band(values, grid8)[..., 0]
     m = 2 * grid8.band.cutoff + 1
     idx = (-np.arange(m)) % m
     mirrored = plane[:, idx][:, :, idx]
@@ -212,7 +233,7 @@ def test_forward_band_matches_rfftn_sweep(n, seed):
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
 def test_band_symbols_are_the_full_lattice_gather(n):
     """Band builds its symbols from the 1-D lattices; they equal the gather of
-    full-lattice symbols built here bit for bit (and of Grid.k_sq: the band
+    full-lattice symbols built here bit for bit (and of the heat fits' full
     has no Nyquist mode)."""
     grid = make_grid(n, 3.0)
     band = grid.band
@@ -220,7 +241,7 @@ def test_band_symbols_are_the_full_lattice_gather(n):
     full_k_sq = grid.dkx**2 + grid.dky**2 + grid.dkz**2
     full_inv = np.zeros_like(full_k_sq)
     np.divide(1.0, full_k_sq, out=full_inv, where=full_k_sq > 0.0)
-    pairs = ((band.k_sq, full_k_sq), (band.k_sq, grid.k_sq), (band.inv_k_sq, full_inv))
+    pairs = ((band.k_sq, full_k_sq), (band.k_sq, _full_k_sq(grid)), (band.inv_k_sq, full_inv))
     for got, full in pairs:
         want = band_gather(full, grid)
         assert got.shape == band.shape and got.tobytes() == want.tobytes()
@@ -229,14 +250,16 @@ def test_band_symbols_are_the_full_lattice_gather(n):
 
 
 def test_full_lattice_symbols_are_built_on_first_use():
+    """A Grid holds no (n, n, n) array; the heat fits build the full |k|^2,
+    Nyquist mode included, when they use it."""
     grid = make_grid(8, 2.0 * np.pi)
-    lazy = ("k_sq", "off_nyquist")
-    assert not set(lazy) & set(vars(grid))
-    for gone in ("deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "lattice"):
-        assert not hasattr(grid, gone)
-    assert grid.k_sq is grid.k_sq and not grid.k_sq.flags.writeable
-    assert grid == make_grid(8, 2.0 * np.pi)  # equality ignores the cache
-    assert np.array_equal(grid.off_nyquist[:, 0, 0], np.arange(8) != 4)
+    for held in (vars(grid), vars(grid.band)):
+        arrays = [v for v in held.values() if isinstance(v, np.ndarray)]
+        assert arrays and all(v.size < 8**3 for v in arrays)
+    gone = ("k_sq", "off_nyquist", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "lattice")
+    assert not any(hasattr(grid, name) for name in gone)
+    assert np.array_equal(_full_k_sq(grid)[:, 0, 0], grid.k1**2)
+    assert _full_k_sq(grid)[4, 4, 4] == 48.0
 
 
 @pytest.mark.parametrize("n", [8, 16, 18])
