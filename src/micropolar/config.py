@@ -26,12 +26,13 @@ into a default.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import InitialCondition, StepperConfig
 from .fields import PhysicalParams
-from .grid import Grid, make_grid
+from .grid import Grid, log_k_max, make_grid
 
 
 class ConfigError(ValueError):
@@ -181,6 +182,17 @@ def parse_config_text(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the initial norms square the amplitude A: A^2 |k|^4 / L^3 and, for a
+    # single mode, A^2 |k|^4 L^3, summed over the pair, must stay finite
+    amplitude, length = abs(ic.amplitude), grid.box_length
+    if amplitude > 0.0 and 2.0 * math.log(amplitude) + 4.0 * max(
+        log_k_max(grid.n_per_axis, length), 0.0
+    ) + 3.0 * abs(math.log(length)) + math.log(2.0) >= math.log(sys.float_info.max):
+        raise ConfigError(
+            f"amplitude {ic.amplitude!r} is too large: the initial norms overflow",
+            seen_lines["ic.amplitude"],
+            "ic.amplitude",
+        )
     return RunConfig(grid=grid, params=params, ic=ic, stepper=stepper, output=output)
 
 

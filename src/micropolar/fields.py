@@ -7,6 +7,7 @@ satisfies ||f||_2^2 = L^3 * sum_k |f_hat(k)|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,28 +111,56 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return full.real * n3
 
 
+# forward_band / inverse_band go as DFT matrix products (Grid.band's matrices)
+# for n <= MATMUL_MAX_N and as pocketfft passes above.  A product of short
+# lines beats the FFT, and each pass keeps only 2K+1 of its n outputs (K+1
+# along z): on a 2-core x86 host the products were faster at every even n
+# from 16 to 62.  Their rounding grows with n (a pass sums n terms): at n = 48
+# they missed rfftn by more than 1e-15 of the max on about one input in 100.
+MATMUL_MAX_N = 32
+
+
 class BandScratch:
     """The pruning buffers of forward_band / inverse_band, for up to `fields`
-    fields at a time.
+    fields at a time, on the path that n selects (MATMUL_MAX_N).
 
-    Every pass transforms the contiguous last axis; the copies between passes
-    gather the band rows and move the next axis last.  The z and y passes go
-    over slabs of `x_slab` x indices at a time, so only the x pass holds a whole
-    field.  The inverse pads a buffer's lines with zeros between the band rows
-    and transforms it in place.
+    Products (n <= MATMUL_MAX_N), one field at a time whatever `fields`, as a
+    product's rounding depends on its shape, and all of them real: the z pass
+    multiplies the real samples by Band.dft_z, which leaves complex
+    (x, y, kz) lines; the x pass multiplies Band.cos_rows and sin_rows into
+    the (x, y kz) view, and the y pass into the (kx, y, kz) lines, broadcast
+    over kx, which lands in the band layout.  The inverse runs the mirror
+    products, ending in Band.idft_z.  No pass copies or transposes.
+
+    half_lines    (x, y, kz)   the z pass's output, the inverse's x output
+    row_lines     (kx, y, kz)  the x pass's output, the inverse's y output
+    sin_lines     (kx, y, kz)  the sin products of the x and y passes
+
+    FFTs (n > MATMUL_MAX_N): every pass transforms the contiguous last axis;
+    the copies between passes gather the band rows and move the next axis
+    last.  The z and y passes go over slabs of `x_slab` x indices at a time,
+    so only the x pass holds a whole field.  The inverse pads a buffer's lines
+    with zeros between the band rows and transforms it in place.
 
     half          (x, y, kz)  rfft along z; its first K+1 columns feed irfft
     lines         (x, kz, y)  lines along y
     band_lines    (ky, kz, x) lines along x
     """
 
-    # an allocating transform batches as many fields as fit in this many
+    # an allocating FFT transform batches as many fields as fit in this many
     # bytes, and a single field larger than this goes in x slabs that fit:
     # small grids save calls, large ones keep buffers small
     BATCH_BYTES = 1 << 20
 
     def __init__(self, grid: Grid, fields: int = 1):
         n, k = grid.n_per_axis, grid.band.cutoff
+        self.by_matmul = n <= MATMUL_MAX_N
+        if self.by_matmul:
+            self.fields = 1
+            self.half_lines = np.empty((n, n, k + 1), dtype=np.complex128)
+            self.row_lines = np.empty((2 * k + 1, n, k + 1), dtype=np.complex128)
+            self.sin_lines = np.empty_like(self.row_lines)
+            return
         self.fields = fields
         per_x = _bytes_per_x(n, k)
         fits = fields > 1 or n * per_x <= self.BATCH_BYTES
@@ -148,11 +177,62 @@ class BandScratch:
 
 
 def _bytes_per_x(n: int, k: int) -> int:
-    """Bytes of half and lines per x index of one field."""
+    """Bytes of half and lines per x index of one field (FFT path)."""
     return 16 * n * (n // 2 + 1 + k + 1)
 
 
-def _forward(values, out, grid, s: BandScratch) -> None:
+def _forward_matmul(values, out, grid, s: BandScratch) -> None:
+    """out (1, kx, ky, kz) = forward_band of one field values (1, x, y, z)."""
+    n, band = grid.n_per_axis, grid.band
+    half, rows = s.half_lines, s.row_lines
+    np.matmul(values.reshape(n * n, n), band.dft_z, out=_real(half).reshape(n * n, -1))
+    cos, sin = band.cos_rows, band.sin_rows
+    _dft_product(cos, sin, half.reshape(n, -1), rows.reshape(len(cos), -1), s.sin_lines, True)
+    _dft_product(cos, sin, rows, out[0], s.sin_lines, True)
+    out /= n**3
+    # f(-k) = conj f(k) on kz = 0, exact on the pocketfft path, holds here to
+    # rounding only: BLAS treats rows k and -k of a product apart
+    out[..., 0] = hermitian_plane(out, grid)
+
+
+def _inverse_matmul(coeffs, out, grid, s: BandScratch) -> None:
+    """out (1, x, y, z) = inverse_band of one field coeffs (1, kx, ky, kz)."""
+    n, band = grid.n_per_axis, grid.band
+    half, rows = s.half_lines, s.row_lines
+    cos, sin = band.cos_rows.T, band.sin_rows.T
+    _dft_product(cos, sin, coeffs[0], rows, s.sin_lines, False)
+    # out, written last, holds the x pass's sin product
+    _dft_product(cos, sin, rows.reshape(len(band.rows), -1), half.reshape(n, -1), out, False)
+    np.matmul(_real(half).reshape(n * n, -1), band.idft_z, out=out.reshape(n * n, n))
+
+
+def _dft_product(cos, sin, lines, out, spare, conj: bool) -> None:
+    """out (..., a, c) = (cos - i sin) @ lines (..., b, c) if conj, else
+    (cos + i sin) @ lines, broadcast over the leading axes, as two real
+    products, the sin one in the spare buffer.  Complex products here
+    would round more (at n=32 the y pass missed a long-double DFT by 7.6e-16
+    of the max, against 3.9e-16), would not give rows k and -k conjugate
+    results, and OpenBLAS threads them, which stalls whenever another
+    process holds the cores; it runs the real ones on one thread."""
+    real, lines = _real(out), _real(np.ascontiguousarray(lines))
+    np.matmul(cos, lines, out=real)
+    sin_part = spare.reshape(-1).view(np.float64)[: real.size].reshape(real.shape)
+    np.matmul(sin, lines, out=sin_part)
+    re, im = real[..., 0::2], real[..., 1::2]
+    if conj:  # -i (a + i b) = b - i a
+        re += sin_part[..., 1::2]
+        im -= sin_part[..., 0::2]
+    else:
+        re -= sin_part[..., 1::2]
+        im += sin_part[..., 0::2]
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """Complex a (..., c) as reals (..., 2c), Re and Im interleaved."""
+    return a.view(np.float64)
+
+
+def _forward_fft(values, out, grid, s: BandScratch) -> None:
     """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
     n, k, m = grid.n_per_axis, grid.band.cutoff, len(values)
     band_lines = s.band_lines[:m]
@@ -171,7 +251,7 @@ def _forward(values, out, grid, s: BandScratch) -> None:
     np.multiply(band_lines[..., n - k :].transpose(0, 3, 1, 2), scale, out=out[:, k + 1 :])
 
 
-def _inverse(coeffs, out, grid, s: BandScratch) -> None:
+def _inverse_fft(coeffs, out, grid, s: BandScratch) -> None:
     """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
     n, k, m = grid.n_per_axis, grid.band.cutoff, len(coeffs)
     band_lines = s.band_lines[:m]
@@ -192,14 +272,16 @@ def _inverse(coeffs, out, grid, s: BandScratch) -> None:
         np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out[:, slab])
 
 
-def _by_fields(step, data, out, grid, scratch) -> None:
-    """step over the fields of data (..., 3-D) into C-contiguous out, in
-    batches of scratch.fields (BandScratch.batched when scratch is None)."""
+def _by_fields(steps, data, out, grid, scratch) -> None:
+    """The step of the scratch's path, of steps (pocketfft, matmul), over the
+    fields of data (..., 3-D) into C-contiguous out, in batches of
+    scratch.fields (BandScratch.batched when scratch is None)."""
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     data = data.reshape((-1,) + data.shape[-3:])
     out = out.reshape((-1,) + out.shape[-3:])
     scratch = scratch or BandScratch.batched(grid, len(data))
+    step = steps[scratch.by_matmul]
     for start in range(0, len(data), scratch.fields):
         batch = slice(start, start + scratch.fields)
         step(data[batch], out[batch], grid, scratch)
@@ -212,11 +294,11 @@ def forward_band(
     scratch: BandScratch | None = None,
 ) -> np.ndarray:
     """forward_transform of real samples (..., n, n, n), pruned to the band:
-    rfft along z, fft along y, fft along x, each keeping only the band's
-    lines.  Writes into out (C-contiguous) and reuses scratch when given."""
+    one pass per axis (BandScratch), each keeping only the band's lines.
+    Writes into out (C-contiguous) and reuses scratch when given."""
     if out is None:
         out = np.empty(values.shape[:-3] + grid.band.shape, dtype=np.complex128)
-    _by_fields(_forward, values, out, grid, scratch)
+    _by_fields((_forward_fft, _forward_matmul), values, out, grid, scratch)
     return out
 
 
@@ -227,11 +309,11 @@ def inverse_band(
     scratch: BandScratch | None = None,
 ) -> np.ndarray:
     """Physical samples (..., n, n, n) of band coefficients: forward_band
-    mirrored, zero-padding each axis before its transform.  out and scratch
-    as for forward_band."""
+    mirrored (the pocketfft passes zero-pad each axis before its transform).
+    out and scratch as for forward_band."""
     if out is None:
         out = np.empty(coeffs.shape[:-3] + grid.shape)
-    _by_fields(_inverse, coeffs, out, grid, scratch)
+    _by_fields((_inverse_fft, _inverse_matmul), coeffs, out, grid, scratch)
     return out
 
 
@@ -276,9 +358,15 @@ def band_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
     """forward_band of samples (..., n, n, n) that the band represents:
     ValueError when the coefficients do not give the samples back (content
     off the 2/3 band), so nothing is truncated silently."""
-    coeffs = forward_band(values, grid)
-    error = np.abs(inverse_band(coeffs, grid) - values).max()
-    scale = np.abs(values).max()
+    scratch = BandScratch(grid)
+    coeffs = forward_band(values, grid, scratch=scratch)
+    # one field at a time, the error in place in the inverse's buffer
+    back, error = np.empty(grid.shape), 0.0
+    fields = zip(coeffs.reshape((-1,) + grid.band.shape), values.reshape((-1,) + grid.shape))
+    for coeff, value in fields:
+        np.subtract(inverse_band(coeff, grid, back, scratch), value, out=back)
+        error = max(error, back.max(), -back.min())
+    scale = max(values.max(), -values.min())
     if error > BAND_RTOL * scale:
         raise ValueError(
             f"samples have content off the 2/3 band (round trip error "
@@ -305,13 +393,21 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
 
 
 def divergence_defect(u: SpectralVectorField) -> float:
-    """||div u||_2 / ||Du||_2 (0 if Du = 0)."""
+    """||div u||_2 / ||Du||_2 (0 if Du = 0), both of u scaled by a power of
+    two near 1/max|u_hat|: exact, and no square of a finite field overflows."""
     g = u.grid
     sq = np.abs(u.data)
+    peak = sq.max()
+    if peak == 0.0:
+        return 0.0
+    scale = 2.0 ** -math.frexp(peak)[1]
+    sq *= scale
     np.square(sq, out=sq)
     sq *= g.band.k_sq
     grad_sq = float(g.mode_sum(sq))
-    div_sq = float(g.mode_sum(np.abs(g.k_dot(u.data)) ** 2))
+    div = np.abs(g.k_dot(u.data))
+    div *= scale
+    div_sq = float(g.mode_sum(np.square(div, out=div)))
     return np.sqrt(div_sq / grad_sq) if grad_sq > 0.0 else 0.0
 
 
@@ -333,7 +429,7 @@ class SimState:
         if self.u.grid is not self.w.grid and self.u.grid != self.w.grid:
             raise ValueError("u and w live on different grids")
         defect = divergence_defect(self.u)
-        if defect > DIV_FREE_RTOL:
+        if not defect <= DIV_FREE_RTOL:  # NaN too
             raise ValueError(
                 f"u is not divergence-free: ||div u||/||Du|| = {defect:.3e}"
             )

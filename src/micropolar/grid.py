@@ -31,6 +31,17 @@ class Band:
     sum of squares (the Laplacian's symbol, and |k|^2: no Nyquist mode) and
     inv_k_sq its inverse with 0 at k = 0 (Leray / Poisson kernel); weight is
     the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
+
+    The DFT matrices of the pruned transforms (fields.forward_band on small
+    grids), unnormalized, with c + i s = exp(2 pi i k x / n):
+    cos_rows, sin_rows  (2K+1, n) real, c and s for the rows k: the x and y
+                        passes multiply by c - i s, their inverses by the
+                        transpose of c + i s
+    dft_z               (n, 2(K+1)) real, columns c, -s for kz = 0..K: real
+                        lines times it are complex lines of K+1 coefficients
+    idft_z              (2(K+1), n) real, rows weight c, -weight s: the real
+                        samples of kz >= 0 lines with their mirrors, as irfft
+                        (the row of Im on kz = 0 is zero)
     """
 
     def __init__(self, grid: "Grid"):
@@ -44,9 +55,32 @@ class Band:
         self.inv_k_sq = np.zeros_like(self.k_sq)
         np.divide(1.0, self.k_sq, out=self.inv_k_sq, where=self.k_sq > 0.0)
         self.weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)
+        self.cos_rows, self.sin_rows = _cos_sin(rows, n)
+        cos, sin = _cos_sin(np.arange(k + 1), n)  # (K+1, n)
+        self.dft_z = np.stack([cos.T, -sin.T], axis=-1).reshape(n, 2 * (k + 1))
+        self.idft_z = np.stack([cos, -sin], axis=1).reshape(2 * (k + 1), n)
+        self.idft_z *= np.repeat(self.weight, 2)[:, None]
+        self.idft_z[1] = 0.0
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+
+def _cos_sin(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi r x / n for r in rows, x = 0..n-1, within an ulp:
+    the index product is reduced mod n and the angle to its octant, as
+    (pi/4) j / n with 0 <= j <= n; the symmetries of cos and sin give the
+    rest, so angles on the axes come out exact."""
+    eighths = 8 * (np.outer(rows, np.arange(n)) % n)  # angle = (pi/4) eighths / n
+    octant, j = np.divmod(eighths, n)
+    j = np.where(octant % 2 == 1, n - j, j)  # odd octants count back from the next
+    angle = (np.pi / 4.0) * (j / n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    swap = (octant + 1) % 4 >= 2  # octants 1, 2, 5 and 6 count from the y axis
+    cos, sin = np.where(swap, sin, cos), np.where(swap, cos, sin)
+    cos[(octant + 2) % 8 >= 4] *= -1.0  # octants 2 to 5
+    sin[octant >= 4] *= -1.0
+    return cos, sin
 
 
 def _sum_of_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -54,6 +88,11 @@ def _sum_of_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def log_k_max(n: int, box_length: float) -> float:
+    """log of sqrt(3) pi n / L, a bound of |k| on the grid's lattice."""
+    return math.log(math.sqrt(3.0) * math.pi) + math.log(n) - math.log(box_length)
 
 
 @dataclass(frozen=True, eq=True)
@@ -88,8 +127,7 @@ class Grid:
             raise ValueError(f"box_length must be positive, got {length}")
         # the norms sum |k|^4 |f_hat|^2, up to |k|^4 / L^3 for a unit field,
         # and scale by L^3: both must stay finite at the largest |k| of the box
-        log_k_max = math.log(math.sqrt(3.0) * math.pi) + math.log(n) - math.log(length)
-        if 4.0 * log_k_max - 3.0 * math.log(length) >= _LOG_MAX:
+        if 4.0 * log_k_max(n, length) - 3.0 * math.log(length) >= _LOG_MAX:
             raise ValueError(
                 f"box_length {length!r} is too small: |k|^4 / L^3 at the "
                 f"largest wavenumber overflows"

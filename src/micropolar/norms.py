@@ -45,7 +45,7 @@ def l2_div(f: SpectralVectorField) -> float:
 
 def linf(f: RealVectorField) -> float:
     """max over components of the pointwise sup norm."""
-    return float(np.abs(f.data).max())
+    return float(max(f.data.max(), -f.data.min()))  # no |data| temporary
 
 
 def lr_phys(f: RealVectorField, r: float) -> float:

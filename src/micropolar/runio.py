@@ -188,7 +188,7 @@ def execute_run(
         records = [acc.record(state)]
         cadence = config.output.cadence
         ckpt_every = config.output.checkpoint_every
-        last_good = state
+        last_good, written = state, None
         with csv_path.open("w", newline="") as csv_file:
             csv_file.write(CSV_HEADER)
             csv_file.write(format_csv_row(records[0]))
@@ -202,6 +202,7 @@ def execute_run(
                         csv_file.write(format_csv_row(rec))
                     if ckpt_every and j % ckpt_every == 0:
                         write_checkpoint(state, p, checkpoint_path)
+                        written = state
             except Exception:
                 write_checkpoint(last_good, p, checkpoint_path)
                 (out_dir / "abort.txt").write_text(
@@ -210,7 +211,8 @@ def execute_run(
                 )
                 raise
 
-        write_checkpoint(last_good, p, checkpoint_path)
+        if written is not last_good:  # the last step may have written it
+            write_checkpoint(last_good, p, checkpoint_path)
         detection = detect_t0(records, p)
         window = detection.window or (records[0].t, records[-1].t)
         fit = fit_decay(records, window)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import micropolar
+from micropolar import runio
 from micropolar.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -145,6 +146,21 @@ def test_cli_tiny_box_exit_2(tmp_path, capsys, length):
         assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'grid.L'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_huge_amplitude_exit_2(tmp_path, capsys):
+    """An amplitude whose initial norms overflow (1e200 passed SimState with
+    a NaN divergence defect, warned six times and stopped at an overflowing
+    l2_u, naming no key) exits 2 with one error line naming ic.amplitude,
+    before any output is written."""
+    text = small_config_text(tmp_path / "out", amplitude=1e200, t_end=0.05)
+    path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'ic.amplitude'" in err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -468,6 +484,43 @@ def test_csv_byte_identical(tmp_path):
     _, first = run_config(tmp_path, "r1")
     _, second = run_config(tmp_path, "r2")
     assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
+
+
+def test_final_checkpoint_written_once(tmp_path, monkeypatch):
+    """A 4-step run that checkpoints every 2 steps writes at steps 2 and 4:
+    the last step's checkpoint is the final one, not written again."""
+    written = []
+    write = runio.write_checkpoint
+    monkeypatch.setattr(
+        runio, "write_checkpoint", lambda state, *args: [written.append(state.t), write(state, *args)]
+    )
+    text = small_config_text(tmp_path / "out", t_end=0.2)
+    cfg = parse_config_text(text.replace("checkpoint_every = 4", "checkpoint_every = 2"))
+    result = execute_run(cfg)
+    assert len(written) == 2
+    loaded, _ = read_checkpoint(result.checkpoint_path)
+    final = result.final_state
+    assert loaded.t == final.t == written[-1]
+    assert np.array_equal(loaded.u.data, final.u.data)
+    assert np.array_equal(loaded.w.data, final.w.data)
+
+
+def test_csv_byte_identical_across_blas_threads(tmp_path):
+    """The band transforms' matrix products (n=32) give the same bits on one
+    BLAS thread as on the library's default count."""
+    text = small_config_text(tmp_path / "out", t_end=0.2).replace("grid.n = 8", "grid.n = 32")
+    csvs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        cfg = write_config(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "micropolar.cli", "run", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=child_env() | threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((tmp_path / "out" / "diagnostics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_report_matches_csv(tmp_path):

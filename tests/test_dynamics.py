@@ -381,9 +381,9 @@ def test_step_power_matches_energy_power(grid16):
 
 def test_step_working_set():
     """Traced peak of building a Stepper and taking one n=32 step, in
-    (3, n, n, n) float64 fields: 6.1.  The stepper holds its workspace (u
-    samples, one w component, one product, the band transforms' scratch) and
-    six band vectors (the running stage sum and two stage terms); the step
+    (3, n, n, n) float64 fields: 5.9 (6.1 on the pocketfft path).  The
+    stepper holds its workspace (u samples, one w component, one product,
+    the band transforms' scratch) and six band vectors (the running stage sum and two stage terms); the step
     adds the stage state, which becomes the result.  Holding the transformed
     products and fresh arrays for every stage term read 7.8, full-lattice
     storage 11.6."""

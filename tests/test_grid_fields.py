@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.fft import fftn, rfftn
 
+from micropolar import fields
 from micropolar.fields import (
     BandScratch,
     RealVectorField,
     SimState,
     SpectralVectorField,
+    band_coefficients,
     expand_band,
     fold_band,
     forward_band,
@@ -36,7 +40,21 @@ from conftest import (
 )
 
 even_n = st.sampled_from(range(4, 41, 2))
+band_n = st.sampled_from(range(4, 65, 2))  # both sides of fields.MATMUL_MAX_N
 seeds = st.integers(0, 2**32 - 1)
+paths = st.sampled_from(["selected", "pocketfft"])
+
+
+@contextmanager
+def transform_path(path):
+    """forward_band / inverse_band on the path n selects, or on the pocketfft
+    path for every n (the matrix products are selected up to MATMUL_MAX_N)."""
+    saved = fields.MATMUL_MAX_N
+    fields.MATMUL_MAX_N = saved if path == "selected" else 0
+    try:
+        yield
+    finally:
+        fields.MATMUL_MAX_N = saved
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +243,10 @@ def test_forward_band_matches_rfftn_and_mask(n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=even_n, seed=seeds)
-def test_forward_band_matches_rfftn_sweep(n, seed):
-    check_forward_band_matches_rfftn(n, seed)
+@given(n=band_n, seed=seeds, path=paths)
+def test_forward_band_matches_rfftn_sweep(n, seed, path):
+    with transform_path(path):
+        check_forward_band_matches_rfftn(n, seed)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
@@ -262,21 +281,31 @@ def test_full_lattice_symbols_are_built_on_first_use():
     assert _full_k_sq(grid)[4, 4, 4] == 48.0
 
 
-@pytest.mark.parametrize("n", [8, 16, 18])
-def test_band_transform_round_trip(n):
+def check_band_transform_round_trip(n, seed):
     grid = make_grid(n, 2.0 * np.pi)
-    f = to_real(random_spectral_field(grid, seed=13)).data
+    f = to_real(random_spectral_field(grid, seed=seed)).data
     back = inverse_band(forward_band(f, grid), grid)
     assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
 
 
-@pytest.mark.parametrize("n", [8, 16, 18])  # 18: 1/n^3 is not a power of two
-def test_band_transforms_into_buffers_match_allocating_path(n):
+@pytest.mark.parametrize("n", [8, 16, 18])
+def test_band_transform_round_trip(n):
+    check_band_transform_round_trip(n, seed=13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=band_n, seed=seeds, path=paths)
+def test_band_transform_round_trip_sweep(n, seed, path):
+    with transform_path(path):
+        check_band_transform_round_trip(n, seed)
+
+
+def check_transforms_into_buffers(n, seeds):
     """Caller buffers and one scratch reused across fields and directions give
     the allocating path's bits: the zero padding is rewritten every call."""
     grid = make_grid(n, 2.0 * np.pi)
     scratch = BandScratch(grid)
-    for seed in (15, 16):
+    for seed in seeds:
         values = random_real_field(grid, seed=seed).data
         coeffs = forward_band(values, grid)
         out = np.full_like(coeffs, np.nan)
@@ -285,6 +314,37 @@ def test_band_transforms_into_buffers_match_allocating_path(n):
         back = np.full_like(values, np.nan)
         assert inverse_band(coeffs, grid, back, scratch) is back
         assert np.array_equal(back, inverse_band(coeffs, grid))
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])  # 18: 1/n^3 is not a power of two
+def test_band_transforms_into_buffers_match_allocating_path(n):
+    check_transforms_into_buffers(n, seeds=(15, 16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=band_n, seed=seeds, path=paths)
+def test_band_transforms_into_buffers_sweep(n, seed, path):
+    with transform_path(path):
+        check_transforms_into_buffers(n, seeds=(seed, seed + 1))
+
+
+def test_band_coefficients_working_set():
+    """Traced peak of to_spectral's check that the band gives the samples
+    back, at n=32, in (3, n, n, n) sample arrays: the band, one scratch and
+    one component's inverse, which takes the error in place: about 1.2.  The
+    whole inverse, the difference and its abs read 2.3."""
+    import tracemalloc
+
+    grid = make_grid(32, 2.0 * np.pi)
+    values = to_real(random_spectral_field(grid, seed=17)).data
+    band_coefficients(values, grid)  # first-call setup out of the trace
+    tracemalloc.start()
+    try:
+        band_coefficients(values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * values.nbytes
 
 
 def check_fold_expand_round_trip(n, seed):
@@ -329,10 +389,16 @@ def test_hermitian_plane_is_idempotent(n, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=even_n, seed=seeds, count=st.integers(1, 6))
-def test_batched_scratch_is_bitwise_one_field(n, seed, count):
-    """BandScratch.batched transforms several fields per call; every field
-    comes out bit for bit as with a one-field scratch."""
+@given(n=band_n, seed=seeds, count=st.integers(1, 6), path=paths)
+def test_batched_scratch_is_bitwise_one_field(n, seed, count, path):
+    """BandScratch.batched transforms several fields per call (pocketfft path;
+    the matrix products go one field at a time); every field comes out bit
+    for bit as with a one-field scratch."""
+    with transform_path(path):
+        check_batched_scratch(n, seed, count)
+
+
+def check_batched_scratch(n, seed, count):
     grid = make_grid(n, 2.0 * np.pi)
     values = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
     batched = BandScratch.batched(grid, count)
@@ -387,6 +453,12 @@ def test_sim_state_divergence_guard(grid8):
     SimState(0.0, u, w)  # fine
     with pytest.raises(ValueError, match="divergence"):
         SimState(0.0, w, u)
+    # |u_hat|^2 overflows at 1e200, but the defect is scale free: taken of
+    # the unscaled squares it was NaN, and NaN passed the bound
+    huge_u, huge_w = (SpectralVectorField(grid8, 1e200 * f.data) for f in (u, w))
+    SimState(0.0, huge_u, w)
+    with pytest.raises(ValueError, match="divergence"):
+        SimState(0.0, huge_w, u)
 
 
 def test_lr_phys_matches_closed_form(grid8):
