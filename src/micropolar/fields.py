@@ -124,13 +124,14 @@ class BandScratch:
     """The pruning buffers of forward_band / inverse_band, for up to `fields`
     fields at a time, on the path that n selects (MATMUL_MAX_N).
 
-    Products (n <= MATMUL_MAX_N), one field at a time whatever `fields`, as a
-    product's rounding depends on its shape, and all of them real: the z pass
-    multiplies the real samples by Band.dft_z, which leaves complex
-    (x, y, kz) lines; the x pass multiplies Band.cos_rows and sin_rows into
-    the (x, y kz) view, and the y pass into the (kx, y, kz) lines, broadcast
-    over kx, which lands in the band layout.  The inverse runs the mirror
-    products, ending in Band.idft_z.  No pass copies or transposes.
+    Products (n <= MATMUL_MAX_N), all of them real: the z pass multiplies
+    each field's real samples by Band.dft_z, which leaves complex (x, y, kz)
+    lines; the x pass multiplies Band.cos_rows and sin_rows into the
+    (x, y kz) view, and the y pass into the (kx, y, kz) lines, broadcast over
+    the fields and kx, which lands in the band layout.  The inverse runs the
+    mirror products, ending in Band.idft_z.  No pass copies or transposes.
+    Every product covers one field, so a batch gives each field the bits it
+    gets alone: a product's rounding depends on its shape.
 
     half_lines    (x, y, kz)   the z pass's output, the inverse's x output
     row_lines     (kx, y, kz)  the x pass's output, the inverse's y output
@@ -147,21 +148,21 @@ class BandScratch:
     band_lines    (ky, kz, x) lines along x
     """
 
-    # an allocating FFT transform batches as many fields as fit in this many
-    # bytes, and a single field larger than this goes in x slabs that fit:
-    # small grids save calls, large ones keep buffers small
+    # an allocating transform batches as many fields as the pocketfft
+    # buffers of that many fit in this many bytes, and on that path a single
+    # field larger than this goes in x slabs that fit: small grids save
+    # calls, large ones keep buffers small
     BATCH_BYTES = 1 << 20
 
     def __init__(self, grid: Grid, fields: int = 1):
         n, k = grid.n_per_axis, grid.band.cutoff
         self.by_matmul = n <= MATMUL_MAX_N
+        self.fields = fields
         if self.by_matmul:
-            self.fields = 1
-            self.half_lines = np.empty((n, n, k + 1), dtype=np.complex128)
-            self.row_lines = np.empty((2 * k + 1, n, k + 1), dtype=np.complex128)
+            self.half_lines = np.empty((fields, n, n, k + 1), dtype=np.complex128)
+            self.row_lines = np.empty((fields, 2 * k + 1, n, k + 1), dtype=np.complex128)
             self.sin_lines = np.empty_like(self.row_lines)
             return
-        self.fields = fields
         per_x = _bytes_per_x(n, k)
         fits = fields > 1 or n * per_x <= self.BATCH_BYTES
         self.x_slab = slab = n if fits else max(1, self.BATCH_BYTES // per_x)
@@ -182,13 +183,14 @@ def _bytes_per_x(n: int, k: int) -> int:
 
 
 def _forward_matmul(values, out, grid, s: BandScratch) -> None:
-    """out (1, kx, ky, kz) = forward_band of one field values (1, x, y, z)."""
-    n, band = grid.n_per_axis, grid.band
-    half, rows = s.half_lines, s.row_lines
-    np.matmul(values.reshape(n * n, n), band.dft_z, out=_real(half).reshape(n * n, -1))
+    """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
+    n, band, m = grid.n_per_axis, grid.band, len(values)
+    half, rows = s.half_lines[:m], s.row_lines[:m]
+    for field, lines in zip(values, half):
+        np.matmul(field.reshape(n * n, n), band.dft_z, out=_real(lines).reshape(n * n, -1))
     cos, sin = band.cos_rows, band.sin_rows
-    _dft_product(cos, sin, half.reshape(n, -1), rows.reshape(len(cos), -1), s.sin_lines, True)
-    _dft_product(cos, sin, rows, out[0], s.sin_lines, True)
+    _dft_product(cos, sin, half.reshape(m, n, -1), rows.reshape(m, len(cos), -1), s.sin_lines, True)
+    _dft_product(cos, sin, rows, out, s.sin_lines, True)
     out /= n**3
     # f(-k) = conj f(k) on kz = 0, exact on the pocketfft path, holds here to
     # rounding only: BLAS treats rows k and -k of a product apart
@@ -196,14 +198,15 @@ def _forward_matmul(values, out, grid, s: BandScratch) -> None:
 
 
 def _inverse_matmul(coeffs, out, grid, s: BandScratch) -> None:
-    """out (1, x, y, z) = inverse_band of one field coeffs (1, kx, ky, kz)."""
-    n, band = grid.n_per_axis, grid.band
-    half, rows = s.half_lines, s.row_lines
+    """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
+    n, band, m = grid.n_per_axis, grid.band, len(coeffs)
+    half, rows = s.half_lines[:m], s.row_lines[:m]
     cos, sin = band.cos_rows.T, band.sin_rows.T
-    _dft_product(cos, sin, coeffs[0], rows, s.sin_lines, False)
+    _dft_product(cos, sin, coeffs, rows, s.sin_lines, False)
     # out, written last, holds the x pass's sin product
-    _dft_product(cos, sin, rows.reshape(len(band.rows), -1), half.reshape(n, -1), out, False)
-    np.matmul(_real(half).reshape(n * n, -1), band.idft_z, out=out.reshape(n * n, n))
+    _dft_product(cos, sin, rows.reshape(m, len(band.rows), -1), half.reshape(m, n, -1), out, False)
+    for lines, field in zip(half, out):
+        np.matmul(_real(lines).reshape(n * n, -1), band.idft_z, out=field.reshape(n * n, n))
 
 
 def _dft_product(cos, sin, lines, out, spare, conj: bool) -> None:
@@ -211,9 +214,9 @@ def _dft_product(cos, sin, lines, out, spare, conj: bool) -> None:
     (cos + i sin) @ lines, broadcast over the leading axes, as two real
     products, the sin one in the spare buffer.  Complex products here
     would round more (at n=32 the y pass missed a long-double DFT by 7.6e-16
-    of the max, against 3.9e-16), would not give rows k and -k conjugate
-    results, and OpenBLAS threads them, which stalls whenever another
-    process holds the cores; it runs the real ones on one thread."""
+    of the max, against 3.9e-16), and OpenBLAS threads them, which stalls
+    whenever another process holds the cores; it runs the real ones on one
+    thread."""
     real, lines = _real(out), _real(np.ascontiguousarray(lines))
     np.matmul(cos, lines, out=real)
     sin_part = spare.reshape(-1).view(np.float64)[: real.size].reshape(real.shape)
