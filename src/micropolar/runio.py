@@ -188,7 +188,7 @@ def execute_run(
         records = [acc.record(state)]
         cadence = config.output.cadence
         ckpt_every = config.output.checkpoint_every
-        last_good, written = state, None
+        last_good, last_written = state, False
         with csv_path.open("w", newline="") as csv_file:
             csv_file.write(CSV_HEADER)
             csv_file.write(format_csv_row(records[0]))
@@ -200,9 +200,9 @@ def execute_run(
                         rec = acc.record(state)
                         records.append(rec)
                         csv_file.write(format_csv_row(rec))
-                    if ckpt_every and j % ckpt_every == 0:
+                    last_written = bool(ckpt_every) and j % ckpt_every == 0
+                    if last_written:
                         write_checkpoint(state, p, checkpoint_path)
-                        written = state
             except Exception:
                 write_checkpoint(last_good, p, checkpoint_path)
                 (out_dir / "abort.txt").write_text(
@@ -211,7 +211,7 @@ def execute_run(
                 )
                 raise
 
-        if written is not last_good:  # the last step may have written it
+        if not last_written:  # else the last step wrote it
             write_checkpoint(last_good, p, checkpoint_path)
         detection = detect_t0(records, p)
         window = detection.window or (records[0].t, records[-1].t)

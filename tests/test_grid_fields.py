@@ -391,9 +391,8 @@ def test_hermitian_plane_is_idempotent(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(n=band_n, seed=seeds, count=st.integers(1, 6), path=paths)
 def test_batched_scratch_is_bitwise_one_field(n, seed, count, path):
-    """BandScratch.batched transforms several fields per call (pocketfft path;
-    the matrix products go one field at a time); every field comes out bit
-    for bit as with a one-field scratch."""
+    """BandScratch.batched transforms several fields per call on either path;
+    every field comes out bit for bit as with a one-field scratch."""
     with transform_path(path):
         check_batched_scratch(n, seed, count)
 
