@@ -115,8 +115,9 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
 # for n <= MATMUL_MAX_N and as pocketfft passes above.  A product of short
 # lines beats the FFT, and each pass keeps only 2K+1 of its n outputs (K+1
 # along z): on a 2-core x86 host the products were faster at every even n
-# from 16 to 62.  Their rounding grows with n (a pass sums n terms): at n = 48
-# they missed rfftn by more than 1e-15 of the max on about one input in 100.
+# from 16 to 52, and to 62 with the default BLAS threads.  Their rounding
+# grows with n (a pass sums n terms): at n = 48 they missed rfftn by more
+# than 1e-15 of the max on about one input in 100.
 MATMUL_MAX_N = 32
 
 
