@@ -1,4 +1,4 @@
-"""Field value types and the Fourier transforms connecting them.
+"""Field value types and the band transforms connecting them.
 
 Convention: the forward transform carries the 1/n^3 factor, the inverse none,
 so a unit sine mode has two coefficients of modulus 1/2 and the grid L2 norm
@@ -90,34 +90,13 @@ class ScalarField:
         _check_finite(self.values, "ScalarField")
 
 
-def forward_transform(values: np.ndarray) -> np.ndarray:
-    """Forward DFT with 1/n^3 normalization onto the full lattice; accepts
-    (..., n, n, n).  Only the heat-kernel fits over sub-grid bumps need the
-    modes beyond the band."""
-    n3 = values.shape[-1] * values.shape[-2] * values.shape[-3]
-    axes = tuple(range(values.ndim - 3, values.ndim))
-    out = values.astype(np.complex128)  # transformed in place: no temporaries
-    np.fft.fftn(out, axes=axes, out=out)
-    out /= n3
-    return out
-
-
-def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DFT without normalization (real part) of full-lattice
-    coefficients (..., n, n, n), as forward_transform."""
-    n3 = coeffs.shape[-1] * coeffs.shape[-2] * coeffs.shape[-3]
-    axes = tuple(range(coeffs.ndim - 3, coeffs.ndim))
-    full = np.fft.ifftn(coeffs, axes=axes, out=np.empty(coeffs.shape, np.complex128))
-    return full.real * n3
-
-
 # forward_band / inverse_band go as DFT matrix products (Grid.band's matrices)
 # for n <= MATMUL_MAX_N and as pocketfft passes above.  A product of short
 # lines beats the FFT, and each pass keeps only 2K+1 of its n outputs (K+1
 # along z): on a 2-core x86 host the products were faster at every even n
 # from 16 to 52, and to 62 with the default BLAS threads.  Their rounding
-# grows with n (a pass sums n terms): at n = 48 they missed rfftn by more
-# than 1e-15 of the max on about one input in 100.
+# grows with n (a pass sums n terms): at n = 48 they missed numpy's real 3-D
+# FFT by more than 1e-15 of the max on about one input in 100.
 MATMUL_MAX_N = 32
 
 
@@ -297,8 +276,9 @@ def forward_band(
     out: np.ndarray | None = None,
     scratch: BandScratch | None = None,
 ) -> np.ndarray:
-    """forward_transform of real samples (..., n, n, n), pruned to the band:
-    one pass per axis (BandScratch), each keeping only the band's lines.
+    """The forward DFT (1/n^3 normalization) of real samples (..., n, n, n),
+    pruned to the band: one pass per axis (BandScratch), each keeping only
+    the band's lines.
     Writes into out (C-contiguous) and reuses scratch when given."""
     if out is None:
         out = np.empty(values.shape[:-3] + grid.band.shape, dtype=np.complex128)
@@ -428,8 +408,8 @@ class SimState:
     w: SpectralVectorField
 
     def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
+        if not 0.0 <= self.t < math.inf:  # NaN too
+            raise ValueError(f"t must be finite and non-negative, got {self.t}")
         if self.u.grid is not self.w.grid and self.u.grid != self.w.grid:
             raise ValueError("u and w live on different grids")
         defect = divergence_defect(self.u)

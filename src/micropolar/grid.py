@@ -103,9 +103,9 @@ class Grid:
     (n, n, n) lattice:
 
     k1              1D lattice, Nyquist stored as +n/2
-    kx, ky, kz      broadcastable axis wavenumbers, shapes (n,1,1), (1,n,1), (1,1,n)
     dk1             1D lattice with the Nyquist entry zeroed (derivative symbol)
-    dkx, dky, dkz   broadcastable derivative wavenumbers
+    dkx, dky, dkz   dk1 broadcastable along x, y, z: shapes (n,1,1), (1,n,1),
+                    (1,1,n)
     band            the symbols on the 2/3-rule band (Band), which every
                     spectral field and operator uses
     """
@@ -142,13 +142,10 @@ class Grid:
         set_ = object.__setattr__
         set_(self, "k1", k1)
         set_(self, "dk1", dk1)
-        set_(self, "kx", k1.reshape(n, 1, 1))
-        set_(self, "ky", k1.reshape(1, n, 1))
-        set_(self, "kz", k1.reshape(1, 1, n))
         set_(self, "dkx", dk1.reshape(n, 1, 1))
         set_(self, "dky", dk1.reshape(1, n, 1))
         set_(self, "dkz", dk1.reshape(1, 1, n))
-        for name in ("k1", "dk1", "kx", "ky", "kz", "dkx", "dky", "dkz"):
+        for name in ("k1", "dk1", "dkx", "dky", "dkz"):
             getattr(self, name).setflags(write=False)
         set_(self, "band", Band(self))
 

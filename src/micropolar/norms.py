@@ -2,9 +2,9 @@
 
 L2-type norms are evaluated spectrally (Parseval under the 1/n^3 forward
 normalization gives ||f||_2^2 = L^3 sum_k |f_hat|^2) on the 2/3-rule band,
-where Grid.mode_sum counts each kz > 0 entry for its mirror too; L1 and Linf
-use cell-volume-weighted physical samples.  Gradient norms use the band's
-derivative wavenumbers, so they agree exactly with the derivative operators.
+where Grid.mode_sum counts each kz > 0 entry for its mirror too; Linf reads
+the physical samples.  Gradient norms use the band's derivative wavenumbers,
+so they agree exactly with the derivative operators.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ def l2_div(f: SpectralVectorField) -> float:
 def linf(f: RealVectorField) -> float:
     """max over components of the pointwise sup norm."""
     return float(max(f.data.max(), -f.data.min()))  # no |data| temporary
-
-
-def lr_phys(f: RealVectorField, r: float) -> float:
-    """||f||_r by cell-volume-weighted quadrature, 1 <= r < inf."""
-    if not 1.0 <= r < np.inf:
-        raise ValueError(f"r must be in [1, inf), got {r}")
-    g = f.grid
-    return float((g.cell_volume * np.sum(np.abs(f.data) ** r)) ** (1.0 / r))
 
 
 def inner(f: SpectralVectorField, h: SpectralVectorField) -> float:

@@ -12,10 +12,12 @@ All tau sweeps stay inside the periodization window 4 nu tau <= (L/8)^2,
 inside which the box evolution matches the whole-space one far below the
 test tolerances.
 
-The bumps are the one place the full (n, n, n) lattice is used: a sub-grid
-bump has modes beyond the 2/3 band, so they are raw full-lattice arrays
-(forward_transform / inverse_transform), never SpectralVectorFields, and
-their heat norms are sums over |k|^2 shells (heat_l2_norms).
+A sub-grid bump has modes beyond the 2/3 band, so it is no
+SpectralVectorField.  It is separable, each component a product of three
+1-D Gaussians, so it is held by the full-lattice coefficients of its 1-D
+factors (SeparableField), and every quantity the fits take (its heat norms,
+its L^r norm, the lattice sum of the smoothing constant) is a product of
+1-D sums: no (n, n, n) array is built.
 """
 
 from __future__ import annotations
@@ -25,16 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    PhysicalParams,
-    RealVectorField,
-    SimState,
-    SpectralVectorField,
-    forward_transform,
-    inverse_transform,
-)
+from .fields import PhysicalParams, SimState, SpectralVectorField
 from .grid import Grid
-from .norms import lr_phys, spectral_l2_sq
+from .norms import spectral_l2_sq
 from .operators import advect_hat, curl_hat, grad_div_hat
 
 
@@ -93,29 +88,55 @@ def periodization_window(grid: Grid, nu: float) -> float:
 # Gaussian bump ensembles
 
 
+@dataclass(frozen=True)
+class SeparableField:
+    """A real vector field whose every component is a product of three 1-D
+    functions, f_c(x) = prod_a g_{c,a}(x_a), held by the coefficients of its
+    factors: coeffs (3 components, 3 axes, n) over the 1-D lattice Grid.k1,
+    so f_c's coefficient at k is prod_a coeffs[c, a, k_a].  Each factor's
+    coefficients are Hermitian (those at -k the conjugates of those at k,
+    the Nyquist entry zero), so the samples are real."""
+
+    grid: Grid
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        expected = (3, 3, self.grid.n_per_axis)
+        if self.coeffs.shape != expected:
+            raise ValueError(f"expected shape {expected}, got {self.coeffs.shape}")
+
+    def samples(self) -> np.ndarray:
+        """The factors' samples g_{c,a}(x_a), (3, 3, n): the unnormalized
+        inverse DFT of each factor, whose imaginary part is rounding."""
+        return np.fft.ifft(self.coeffs, axis=-1, norm="forward").real
+
+    def lr_norm(self, r: float) -> float:
+        """||f||_r by cell-volume-weighted quadrature, 1 <= r < inf:
+        (h^3 sum_c prod_a sum_{x_a} |g_{c,a}(x_a)|^r)^{1/r}."""
+        if not 1.0 <= r < np.inf:
+            raise ValueError(f"r must be in [1, inf), got {r}")
+        axis_sums = np.sum(np.abs(self.samples()) ** r, axis=-1)
+        total = np.sum(np.prod(axis_sums, axis=1))
+        return float((self.grid.cell_volume * total) ** (1.0 / r))
+
+
 def gaussian_bump(
     grid: Grid, width: float, centers: np.ndarray, amplitude: float = 1.0
-) -> RealVectorField:
+) -> SeparableField:
     """Periodized Gaussian bump of the given width in each component.
 
     Built spectrally from the exact coefficients of the periodization,
     (A (2 pi s^2)^{3/2} / L^3) e^{-s^2|k|^2/2} e^{-i k.c}, so sub-grid widths
-    degrade gracefully into band-limited spikes.  Nyquist planes are zeroed
-    to keep the field real.
+    degrade gracefully into band-limited spikes.  They factor over the axes:
+    component c's factor on axis a is e^{-s^2 k_a^2/2} e^{-i k_a c_a}, and the
+    prefactor goes on the x factor.  Nyquist entries are zeroed to keep the
+    field real.
     """
-    g, n = grid, grid.n_per_axis
-    prefactor = amplitude * (2.0 * np.pi * width**2) ** 1.5 / g.volume
-    radial = prefactor * np.exp(-0.5 * width**2 * _full_k_sq(g))
-    keep = np.arange(n) != n // 2
-    off_nyquist = keep.reshape(n, 1, 1) & keep.reshape(1, n, 1) & keep.reshape(1, 1, n)
-    data = np.empty((3,) + g.shape, dtype=np.complex128)
-    for comp in range(3):
-        cx, cy, cz = centers[comp]
-        phase = np.exp(
-            -1j * (g.kx * cx + g.ky * cy + g.kz * cz)
-        )
-        data[comp] = radial * phase * off_nyquist
-    return RealVectorField(g, inverse_transform(data))
+    k = grid.k1
+    coeffs = np.exp(-0.5 * width**2 * k**2) * np.exp(-1j * k * centers[..., None])
+    coeffs[..., grid.n_per_axis // 2] = 0.0
+    coeffs[:, 0] *= amplitude * (2.0 * np.pi * width**2) ** 1.5 / grid.volume
+    return SeparableField(grid, coeffs)
 
 
 def default_bump_widths(grid: Grid) -> np.ndarray:
@@ -126,7 +147,7 @@ def default_bump_widths(grid: Grid) -> np.ndarray:
     return lo * (hi / lo) ** (np.arange(count) / (count - 1))
 
 
-def bump_ensemble(grid: Grid, widths=None) -> list[RealVectorField]:
+def bump_ensemble(grid: Grid, widths=None) -> list[SeparableField]:
     """Deterministic Gaussian-bump ensemble spanning the width ladder."""
     if widths is None:
         widths = default_bump_widths(grid)
@@ -140,7 +161,7 @@ def bump_ensemble(grid: Grid, widths=None) -> list[RealVectorField]:
     return ensemble
 
 
-def default_ensemble(query: SemigroupQuery, grid: Grid) -> list[RealVectorField]:
+def default_ensemble(query: SemigroupQuery, grid: Grid) -> list[SeparableField]:
     """Ensemble matched to the Lebesgue exponent of the query.
 
     At r = 1 the extremal datum is a point mass, so a single near-spike bump
@@ -202,46 +223,22 @@ def default_tau_sweep(
     return tau_lo * (tau_hi / tau_lo) ** (np.arange(points) / (points - 1))
 
 
-def _alpha_weight(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
-    w = np.ones(grid.shape)
-    for dk, a in zip((grid.dkx, grid.dky, grid.dkz), alpha):
-        if a:
-            w = w * dk ** (2 * a)
-    return w
-
-
-def _full_k_sq(grid: Grid) -> np.ndarray:
-    """|k|^2 on the full (n, n, n) lattice, Nyquist mode included."""
-    return grid.kx**2 + grid.ky**2 + grid.kz**2
-
-
-def _shell_collapse(values: np.ndarray, k_sq: np.ndarray, grid: Grid) -> np.ndarray:
-    """Sum values over integer |k/k_min|^2 shells, k_sq the |k|^2 of each
-    entry of values."""
-    k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
-    msq = np.rint(k_sq / k_min_sq).astype(np.int64)
-    return np.bincount(msq.ravel(), weights=values.ravel())
-
-
 def heat_l2_norms(
-    f: RealVectorField, nu: float, taus, alpha: tuple[int, int, int] = (0, 0, 0)
+    f: SeparableField, nu: float, taus, alpha: tuple[int, int, int] = (0, 0, 0)
 ) -> np.ndarray:
-    """||D^alpha e^{nu Lap tau} f||_2 for each tau, summed over integer |k|^2
-    shells of f's full-lattice coefficients: a sub-grid bump keeps its modes
-    beyond the band."""
-    grid = f.grid
-    f_hat = forward_transform(f.data)
-    weighted = _alpha_weight(grid, alpha) * np.sum(np.abs(f_hat) ** 2, axis=0)
-    shells = _shell_collapse(weighted, _full_k_sq(grid), grid) * grid.volume
-    k_min_sq = (2.0 * np.pi / grid.box_length) ** 2
-    q_idx = np.arange(len(shells))
-    damp = (np.exp(-2.0 * nu * tau * k_min_sq * q_idx) for tau in taus)
-    return np.array([np.sqrt(np.dot(shells, d)) for d in damp])
+    """||D^alpha e^{nu Lap tau} f||_2 for each tau, from the 1-D factors:
+    sqrt(L^3 sum_c prod_a sum_{k_a} dk_a^{2 alpha_a} e^{-2 nu tau k_a^2}
+    |g_{c,a}(k_a)|^2), a sub-grid bump's modes beyond the band included."""
+    grid, taus = f.grid, np.asarray(taus, dtype=float)
+    power = np.abs(f.coeffs) ** 2 * grid.dk1 ** (2 * np.array(alpha))[:, None]
+    damp = np.exp(-2.0 * nu * np.multiply.outer(taus, grid.k1**2))  # (tau, k)
+    axis_sums = np.einsum("tk,cak->tca", damp, power)
+    return np.sqrt(grid.volume * np.sum(np.prod(axis_sums, axis=2), axis=1))
 
 
 def fit_heat_decay(
     query: SemigroupQuery,
-    ensemble: list[RealVectorField],
+    ensemble: list[SeparableField],
     taus: np.ndarray | None = None,
 ) -> HeatDecayFit:
     """Fit the decay rate of max_f ||D^a e^{nu Lap tau} f||_2 / ||f||_r.
@@ -266,7 +263,7 @@ def fit_heat_decay(
 
     envelope = np.max(
         [
-            heat_l2_norms(f, query.nu, taus, query.alpha) / lr_phys(f, query.r)
+            heat_l2_norms(f, query.nu, taus, query.alpha) / f.lr_norm(query.r)
             for f in ensemble
         ],
         axis=0,
@@ -290,13 +287,14 @@ def discrete_l1_smoothing_constant(grid: Grid, nu: float, taus) -> float:
     """Rigorous grid bound: ||e^{nu Lap tau} g||_2 <= K ||g||_1 (nu tau)^{-3/4}.
 
     From |g_hat(k)| <= ||g||_1 / L^3 and summing the heat multiplier over the
-    lattice: K(tau) = (nu tau)^{3/4} (sum_k e^{-2 nu tau |k|^2} / L^3)^{1/2};
+    lattice: K(tau) = (nu tau)^{3/4} (sum_k e^{-2 nu tau |k|^2} / L^3)^{1/2},
+    the lattice sum (sum_{k1} e^{-2 nu tau k1^2})^3, Nyquist mode included;
     returns the max over the given tau values.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    k_sq, best = _full_k_sq(grid), 0.0
+    k_sq, best = grid.k1**2, 0.0
     for tau in taus:
-        lattice_sum = float(np.sum(np.exp(-2.0 * nu * tau * k_sq)))
+        lattice_sum = float(np.sum(np.exp(-2.0 * nu * tau * k_sq))) ** 3
         best = max(best, (nu * tau) ** 0.75 * np.sqrt(lattice_sum / grid.volume))
     return best
 
@@ -444,11 +442,12 @@ def duhamel_terms(
     t0 = svals[0]
 
     band = grid.band
+    shell = np.rint(band.k_sq / k_min_sq).astype(np.int64).ravel()  # |k/k_min|^2
 
     def shells_of(data: np.ndarray) -> np.ndarray:
         # a kz > 0 entry counts for its mirror too
         weighted_sq = band.weight * np.sum(np.abs(data) ** 2, axis=0)
-        return _shell_collapse(weighted_sq, band.k_sq, grid) * grid.volume
+        return np.bincount(shell, weights=weighted_sq.ravel()) * grid.volume
 
     w0_shells = shells_of(states[0].w.data)
     # (sample, forcing, shell) for the advection, grad-div and curl forcings

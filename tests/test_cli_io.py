@@ -750,6 +750,26 @@ def test_cli_resume_out_of_band_exit_2(tmp_path, capsys):
     assert not (out_dir / "abort.txt").exists()
 
 
+def test_cli_resume_nan_time_exit_2(tmp_path, capsys):
+    """A checkpoint whose t is NaN is refused when it is read: one error line
+    naming the file and t, and the run it came from is left as it was."""
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path, small_config_text(out_dir, t_end=0.6))
+    assert main(["run", str(cfg_path)]) == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert {"checkpoint.bin", "diagnostics.csv", "report.txt"} <= set(before)
+    blob = bytearray(before["checkpoint.bin"])
+    blob[20:28] = np.array([np.nan], dtype="<f8").tobytes()  # magic, n, L, then t
+    checkpoint = tmp_path / "nan_t.bin"
+    checkpoint.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["resume", str(checkpoint), str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(checkpoint) in err[0] and "t must be finite" in err[0]
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
 def child_env():
     """Environment of a fresh interpreter that imports the same package as
     this session, installed or from src/."""

@@ -223,7 +223,6 @@ def test_gradient_energy_identity(grid8):
 def test_advective_production_under_majorant(grid8):
     # |2<(u.grad)u, Lap u> + 2<(u.grad)w, Lap w>|
     #   <= 4 ||(u,w)||_inf ||(Du,Dw)|| ||(D2u,D2w)||
-    from micropolar.fields import inverse_transform
     from micropolar.norms import inner
     from micropolar.operators import advect, laplacian
 

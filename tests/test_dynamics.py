@@ -209,6 +209,24 @@ def test_cfl_violation_raises(grid8):
         Stepper(grid8, PARAMS, cfg).step(state)
 
 
+@pytest.mark.parametrize("fraction, passes", [(0.99, True), (1.01, False)])
+def test_cfl_number_is_vmax_dt_over_h(grid8, fraction, passes):
+    """The CFL number is max|u| dt / h: a shear mode sin(2y) of amplitude 3
+    peaks at 3 on grid points (y = h), and dt puts the number just below or
+    just above cfl_safety."""
+    amplitude, safety = 3.0, 0.5
+    u = single_mode_field(grid8, component=0, axis=1, index=2, amplitude=amplitude)
+    state = SimState(0.0, u, zero_field(grid8))
+    dt = fraction * safety * grid8.spacing / amplitude
+    stepper = Stepper(grid8, PARAMS, StepperConfig(dt=dt, t_end=1.0, cfl_safety=safety))
+    if passes:
+        stepper.step(state)
+        assert stepper.last_vmax == pytest.approx(amplitude, rel=1e-14)
+    else:
+        with pytest.raises(CflError, match="CFL number 0.505 exceeds"):
+            stepper.step(state)
+
+
 def test_overflow_detected_as_divergence(grid8):
     # Fields near the float ceiling overflow in the quadratic terms while a
     # tiny dt keeps the CFL gate quiet; the stepper must flag the blow-up.

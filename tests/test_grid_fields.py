@@ -6,9 +6,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.fft import fftn, rfftn
+from numpy.fft import fftn
 
 from micropolar import fields
 from micropolar.fields import (
@@ -20,17 +20,14 @@ from micropolar.fields import (
     expand_band,
     fold_band,
     forward_band,
-    forward_transform,
     hermitian_plane,
     inverse_band,
-    inverse_transform,
     to_real,
     to_spectral,
 )
 from micropolar.grid import make_grid
-from micropolar.norms import l2, l2_grad, lr_phys
+from micropolar.norms import l2, l2_grad
 from micropolar.operators import random_band_limited
-from micropolar.semigroup import _full_k_sq
 
 from conftest import (
     band_gather,
@@ -138,41 +135,31 @@ def brute_force_dft(values: np.ndarray) -> np.ndarray:
 
 
 def test_matches_brute_force_dft():
-    # every mode of forward_transform, and forward_band as the DFT's band
+    # forward_band is the DFT's band
     grid = make_grid(4, 2.0 * np.pi)
     f = random_real_field(grid, seed=7)
-    full = forward_transform(f.data)
     band = forward_band(f.data, grid)
     for comp in range(3):
         oracle = brute_force_dft(f.data[comp])
-        assert np.abs(full[comp] - oracle).max() < 1e-12
         assert np.abs(band[comp] - band_gather(oracle, grid)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_roundtrip_ensemble(n):
-    # white noise through the full transforms, band-limited fields through
-    # to_spectral / to_real
+    # band-limited fields through to_spectral / to_real
     grid = make_grid(n, 2.0 * np.pi)
     rng = np.random.default_rng(123 + n)
-    worst = worst_band = 0.0
+    worst_band = 0.0
     for _ in range(1000):
-        data = rng.standard_normal((3,) + grid.shape)
-        back = inverse_transform(forward_transform(data))
-        worst = max(worst, np.abs(back - data).max() / np.abs(data).max())
         data = to_real(random_band_limited(grid, rng)).data
         back = to_real(to_spectral(RealVectorField(grid, data))).data
         worst_band = max(worst_band, np.abs(back - data).max() / np.abs(data).max())
-    assert worst <= 1e-13 and worst_band <= 1e-13
+    assert worst_band <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_parseval(n):
     grid = make_grid(n, 5.0)
-    noise = random_real_field(grid, seed=n).data
-    phys_sq = grid.cell_volume * np.sum(noise**2)
-    spec_sq = grid.volume * np.sum(np.abs(forward_transform(noise)) ** 2)
-    assert abs(phys_sq - spec_sq) <= 1e-12 * phys_sq
     f = to_real(random_spectral_field(grid, seed=n))
     phys_sq = grid.cell_volume * np.sum(f.data**2)
     spec_sq = l2(to_spectral(f)) ** 2
@@ -180,14 +167,9 @@ def test_parseval(n):
 
 
 def test_hermitian_symmetry(grid8):
-    # real samples: f(-k) = conj f(k) on the full lattice, and on the band's
-    # kz = 0 plane, which holds both k and -k
+    # real samples: f(-k) = conj f(k) on the band's kz = 0 plane, which
+    # holds both k and -k
     values = random_real_field(grid8, seed=3).data
-    spec = forward_transform(values)
-    n = grid8.n_per_axis
-    idx = (-np.arange(n)) % n
-    mirrored = spec[:, idx][:, :, idx][:, :, :, idx]
-    assert np.abs(spec - np.conj(mirrored)).max() < 1e-14
     plane = forward_band(values, grid8)[..., 0]
     m = 2 * grid8.band.cutoff + 1
     idx = (-np.arange(m)) % m
@@ -220,16 +202,35 @@ def band_rows(n):
     return np.r_[0 : k + 1, n - k : n]
 
 
+def long_double_band_dft(values, rows, k):
+    """The band (rows, rows, 0..K) of the forward DFT (1/n^3) of real samples
+    (3, n, n, n), pruned and in long double: each index product is reduced
+    mod n and pi is taken in long double, so the oracle's own rounding stays
+    far below that of a float64 FFT (2.5-5e-16 of the max)."""
+    n = values.shape[-1]
+    two_pi = 2.0 * np.arccos(np.longdouble(-1.0))
+
+    def dft(out_rows):
+        angle = two_pi * (np.outer(out_rows, np.arange(n)) % n) / n
+        return np.cos(angle) - 1j * np.sin(angle)  # (rows, n), clongdouble
+
+    out = values.astype(np.clongdouble)
+    out = np.einsum("cxyz,kz->cxyk", out, dft(np.arange(k + 1)) / n)
+    out = np.einsum("cxyk,jy->cxjk", out, dft(rows) / n)
+    return np.einsum("cxjk,ix->cijk", out, dft(rows) / n)
+
+
 def check_forward_band_matches_rfftn(n, seed):
-    """forward_band is rfftn's band: the rows with |k_axis| < n/3 (K =
-    (n-1)//3, also where 3 divides n), kz = 0..K; inverse_band takes it back
-    to the samples of the band part."""
+    """forward_band is the band of the real DFT (numpy's rfftn): the rows
+    with |k_axis| < n/3 (K = (n-1)//3, also where 3 divides n), kz = 0..K;
+    inverse_band takes it back to the samples of the band part.  The oracle
+    is a long-double pruned DFT, so the 1e-15 bound measures forward_band's
+    rounding alone."""
     grid = make_grid(n, 2.0 * np.pi)
     k, rows = (n - 1) // 3, band_rows(n)
     assert np.array_equal(rows, grid.band.rows) and 3 * k < n <= 3 * (k + 1)
     values = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
-    want = rfftn(values, axes=(1, 2, 3), norm="forward")
-    want = want[:, rows[:, None], rows, : k + 1]
+    want = long_double_band_dft(values, rows, k)
     got = forward_band(values, grid)
     assert got.shape == (3, 2 * k + 1, 2 * k + 1, k + 1)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -244,6 +245,7 @@ def test_forward_band_matches_rfftn_and_mask(n):
 
 @settings(max_examples=30, deadline=None)
 @given(n=band_n, seed=seeds, path=paths)
+@example(n=24, seed=874113681, path="selected")  # missed rfftn by 1.01e-15
 def test_forward_band_matches_rfftn_sweep(n, seed, path):
     with transform_path(path):
         check_forward_band_matches_rfftn(n, seed)
@@ -252,15 +254,14 @@ def test_forward_band_matches_rfftn_sweep(n, seed, path):
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 32])
 def test_band_symbols_are_the_full_lattice_gather(n):
     """Band builds its symbols from the 1-D lattices; they equal the gather of
-    full-lattice symbols built here bit for bit (and of the heat fits' full
-    has no Nyquist mode)."""
+    full-lattice symbols built here bit for bit."""
     grid = make_grid(n, 3.0)
     band = grid.band
     assert band.cutoff == (n - 1) // 3 and 3 * band.cutoff < n
     full_k_sq = grid.dkx**2 + grid.dky**2 + grid.dkz**2
     full_inv = np.zeros_like(full_k_sq)
     np.divide(1.0, full_k_sq, out=full_inv, where=full_k_sq > 0.0)
-    pairs = ((band.k_sq, full_k_sq), (band.k_sq, _full_k_sq(grid)), (band.inv_k_sq, full_inv))
+    pairs = ((band.k_sq, full_k_sq), (band.inv_k_sq, full_inv))
     for got, full in pairs:
         want = band_gather(full, grid)
         assert got.shape == band.shape and got.tobytes() == want.tobytes()
@@ -268,17 +269,18 @@ def test_band_symbols_are_the_full_lattice_gather(n):
     assert np.count_nonzero(kept) == 2 * band.cutoff + 1
 
 
-def test_full_lattice_symbols_are_built_on_first_use():
-    """A Grid holds no (n, n, n) array; the heat fits build the full |k|^2,
-    Nyquist mode included, when they use it."""
+def test_grid_holds_no_full_lattice_array():
+    """A Grid holds no (n, n, n) array, and none of the full-lattice symbols
+    it once built; the heat fits work from the 1-D lattice k1."""
     grid = make_grid(8, 2.0 * np.pi)
     for held in (vars(grid), vars(grid.band)):
         arrays = [v for v in held.values() if isinstance(v, np.ndarray)]
         assert arrays and all(v.size < 8**3 for v in arrays)
-    gone = ("k_sq", "off_nyquist", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask", "lattice")
+    gone = (
+        "k_sq", "off_nyquist", "deriv_k_sq", "inv_deriv_k_sq", "dealias_mask",
+        "lattice", "kx", "ky", "kz",
+    )
     assert not any(hasattr(grid, name) for name in gone)
-    assert np.array_equal(_full_k_sq(grid)[:, 0, 0], grid.k1**2)
-    assert _full_k_sq(grid)[4, 4, 4] == 48.0
 
 
 def check_band_transform_round_trip(n, seed):
@@ -458,31 +460,6 @@ def test_sim_state_divergence_guard(grid8):
     SimState(0.0, huge_u, w)
     with pytest.raises(ValueError, match="divergence"):
         SimState(0.0, huge_w, u)
-
-
-def test_lr_phys_matches_closed_form(grid8):
-    data = np.zeros((3,) + grid8.shape)
-    x = np.arange(8) * grid8.spacing
-    data[0] = np.sin(x)[:, None, None]
-    f = RealVectorField(grid8, data)
-    # L1 is defined by cell quadrature; the exact 8-point sum of |sin| is
-    # (pi/4)(2 + 2 sqrt 2) per axis period, times (2 pi)^2 for the others.
-    exact_l1 = (np.pi / 4.0) * (2.0 + 2.0 * np.sqrt(2.0)) * (2.0 * np.pi) ** 2
-    assert np.isclose(lr_phys(f, 1.0), exact_l1, rtol=1e-12)
-    # sin^2 is band-limited, so the quadrature is exact for L2.
-    assert np.isclose(
-        lr_phys(f, 2.0), np.sqrt(np.pi * (2.0 * np.pi) ** 2), rtol=1e-12
-    )
-    # and the continuum L1 value 4 (2 pi)^2 is recovered under refinement
-    n = 128
-    grid = make_grid(n, 2.0 * np.pi)
-    data = np.zeros((3,) + grid.shape)
-    data[0] = np.sin(np.arange(n) * grid.spacing)[:, None, None]
-    assert np.isclose(
-        lr_phys(RealVectorField(grid, data), 1.0),
-        4.0 * (2.0 * np.pi) ** 2,
-        rtol=1e-3,
-    )
 
 
 def test_single_mode_builder_matches_sine(grid8):

@@ -6,9 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micropolar.dynamics import InitialCondition, StepperConfig, evolve, make_initial
-from micropolar.fields import PhysicalParams, SimState, zero_spectral
+from micropolar.fields import (
+    PhysicalParams,
+    RealVectorField,
+    SimState,
+    to_spectral,
+    zero_spectral,
+)
 from micropolar.grid import make_grid
 from micropolar.norms import l2, l2_grad
 from micropolar.operators import curl, derivative, leray_project
@@ -16,8 +24,10 @@ from micropolar.semigroup import (
     L2_GRAD_SMOOTHING_CONSTANT,
     DuhamelLedger,
     SemigroupQuery,
+    SeparableField,
     bump_ensemble,
     decay_exponent,
+    default_bump_widths,
     default_ensemble,
     discrete_l1_smoothing_constant,
     duhamel_reconstruct_w,
@@ -100,13 +110,24 @@ def test_heat_gaussian_closed_form():
         assert abs(value - exact) <= 1e-6 * exact
 
 
-def test_heat_l2_norms_match_the_band_on_band_fields(grid8):
-    # the full-lattice shell sums of the bump fits against the band's heat
-    # propagator and norms, on a field that lives on the band
-    from micropolar.fields import to_real, to_spectral
+def lattice_samples(f: SeparableField) -> np.ndarray:
+    """The (3, n, n, n) samples of a separable field, the product of its 1-D
+    factors' samples."""
+    g = f.samples()
+    return np.einsum("ci,cj,ck->cijk", g[:, 0], g[:, 1], g[:, 2])
 
-    f = to_real(random_spectral_field(grid8, seed=6))
-    spec = to_spectral(f)
+
+def test_heat_l2_norms_match_the_band_on_band_fields(grid8):
+    # the 1-D sums of the bump fits against the band's heat propagator and
+    # norms, on a separable field that lives on the band
+    n = grid8.n_per_axis
+    noise = np.random.default_rng(6).standard_normal((3, 3, n))
+    coeffs = np.fft.fft(noise, norm="forward")
+    off_band = np.ones(n, dtype=bool)
+    off_band[grid8.band.rows] = False
+    coeffs[..., off_band] = 0.0
+    f = SeparableField(grid8, coeffs)
+    spec = to_spectral(RealVectorField(grid8, lattice_samples(f)))
     taus = np.array([0.0, 0.1, 0.7])
     for alpha in ((0, 0, 0), (1, 0, 0)):
         got = heat_l2_norms(f, 0.3, taus, alpha)
@@ -114,6 +135,103 @@ def test_heat_l2_norms_match_the_band_on_band_fields(grid8):
         if alpha[0]:
             heated = [derivative(h, 0) for h in heated]
         assert np.allclose(got, [l2(h) for h in heated], rtol=1e-13, atol=0.0)
+
+
+def full_lattice_oracle(f: SeparableField, nu: float, taus, alpha):
+    """The bump fits' quantities on the full (n, n, n) lattice, by numpy's
+    3-D FFTs: samples by ifftn of the (3, n, n, n) coefficients, heat norms
+    from the fftn of the samples, L1 and L2 by quadrature of the samples,
+    and the smoothing constant's lattice sum over every mode."""
+    grid = f.grid
+    c = f.coeffs
+    full = np.einsum("ci,cj,ck->cijk", c[:, 0], c[:, 1], c[:, 2])
+    samples = np.fft.ifftn(full, axes=(1, 2, 3), norm="forward").real
+    f_hat = np.fft.fftn(samples, axes=(1, 2, 3), norm="forward")
+    k, dk = grid.k1, grid.dk1
+    k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+    weight = (
+        dk[:, None, None] ** (2 * alpha[0])
+        * dk[None, :, None] ** (2 * alpha[1])
+        * dk[None, None, :] ** (2 * alpha[2])
+    )
+    power = weight * np.sum(np.abs(f_hat) ** 2, axis=0)
+    damp = [np.exp(-2.0 * nu * tau * k_sq) for tau in taus]
+    heat = [np.sqrt(grid.volume * np.sum(power * d)) for d in damp]
+    l1 = grid.cell_volume * np.sum(np.abs(samples))
+    l2_norm = np.sqrt(grid.cell_volume * np.sum(samples**2))
+    k1 = max((nu * t) ** 0.75 * np.sqrt(np.sum(d) / grid.volume) for t, d in zip(taus, damp))
+    return samples, np.array(heat), l1, l2_norm, k1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from(range(8, 49, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    rung=st.integers(0, 10**6),
+    alpha=st.tuples(*(st.integers(0, 2),) * 3),
+)
+def test_separable_bump_matches_full_lattice_oracle(n, seed, rung, alpha):
+    """Samples, heat norms, L1 and L2 norms and the smoothing constant from
+    the bump's 1-D factors agree with the full lattice at 1e-13."""
+    grid = make_grid(n, 2.0 * np.pi)
+    widths = default_bump_widths(grid)
+    rng = np.random.default_rng(seed)
+    nu = 0.7
+    centers = grid.box_length * rng.random((3, 3))
+    f = gaussian_bump(grid, widths[rung % len(widths)], centers)
+    taus = periodization_window(grid, nu) * rng.random(4)
+    samples, heat, l1, l2_norm, k1 = full_lattice_oracle(f, nu, taus, alpha)
+    assert np.abs(lattice_samples(f) - samples).max() <= 1e-13 * np.abs(samples).max()
+    assert np.allclose(heat_l2_norms(f, nu, taus, alpha), heat, rtol=1e-13, atol=0.0)
+    assert f.lr_norm(1.0) == pytest.approx(l1, rel=1e-13)
+    assert f.lr_norm(2.0) == pytest.approx(l2_norm, rel=1e-13)
+    assert discrete_l1_smoothing_constant(grid, nu, taus) == pytest.approx(k1, rel=1e-13)
+
+
+def test_bump_lr_norm_matches_closed_form():
+    # a well-resolved positive bump (s = 4h, images e^{-64} apart) keeps the
+    # integrals of the whole-space Gaussian A e^{-|x|^2 / 2 s^2}:
+    # ||f||_1 = 3 A (2 pi s^2)^{3/2} and ||f||_2^2 = 3 A^2 (pi s^2)^{3/2}
+    grid = make_grid(64, 2.0 * np.pi)
+    s, amplitude = 4.0 * grid.spacing, 1.7
+    f = gaussian_bump(grid, s, np.full((3, 3), 1.3), amplitude)
+    l1 = 3.0 * amplitude * (2.0 * np.pi * s**2) ** 1.5
+    assert f.lr_norm(1.0) == pytest.approx(l1, rel=1e-12)
+    l2_sq = 3.0 * amplitude**2 * (np.pi * s**2) ** 1.5
+    assert f.lr_norm(2.0) ** 2 == pytest.approx(l2_sq, rel=1e-12)
+    # sin(x) in one component.  At n=8 the L1 quadrature is the 8-point sum
+    # of |sin|, (pi/4)(2 + 2 sqrt 2) per period, times (2 pi)^2 for the other
+    # axes; at n=128 it nears the continuum value 4 (2 pi)^2.  sin^2 is
+    # band-limited, so the quadrature is exact for L2.
+    sum_8 = (np.pi / 4.0) * (2.0 + 2.0 * np.sqrt(2.0))
+    for n, per_period, rtol in ((8, sum_8, 1e-12), (128, 4.0, 1e-3)):
+        coeffs = np.zeros((3, 3, n), dtype=complex)
+        coeffs[0, 0, [1, -1]] = -0.5j, 0.5j
+        coeffs[0, 1:, 0] = 1.0
+        sine = SeparableField(make_grid(n, 2.0 * np.pi), coeffs)
+        assert sine.lr_norm(1.0) == pytest.approx(per_period * (2.0 * np.pi) ** 2, rel=rtol)
+        assert sine.lr_norm(2.0) == pytest.approx(np.sqrt(np.pi) * 2.0 * np.pi, rel=1e-12)
+    with pytest.raises(ValueError, match="r must be"):
+        f.lr_norm(0.5)
+
+
+def test_heat_fit_builds_no_lattice_array():
+    """The fits hold each bump by its 1-D factors: building the default
+    ensemble at n=32 and fitting it (r=2, alpha=(1,1,0)) peaks below one
+    (n, n, n) float64 array.  Full-lattice bumps took (3, n, n, n) arrays."""
+    import tracemalloc
+
+    grid = make_grid(32, 2.0 * np.pi)
+    window = periodization_window(grid, 0.7)
+    query = SemigroupQuery(nu=0.7, tau=window, alpha=(1, 1, 0), r=2.0)
+    fit_heat_decay(query, default_ensemble(query, grid))  # first-call setup untraced
+    tracemalloc.start()
+    try:
+        fit_heat_decay(query, default_ensemble(query, grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 32**3
 
 
 # ---------------------------------------------------------------------------
