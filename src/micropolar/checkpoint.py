@@ -14,8 +14,9 @@ complex128 is an interleaved (re, im) pair of f64, so the payload matches
 the documented wire format byte for byte.  States live on the 2/3-rule band,
 so the writer expands them here, one component at a time, and the reader
 folds the file's lattice back (fold_band refuses out-of-band coefficients).
-The writer fills <path>.tmp and moves it over <path>, so a failed write never
-destroys the last checkpoint.
+The writer fills <path>.tmp, syncs it to disk, moves it over <path> and syncs
+the directory, so neither a failed write nor a power loss destroys the last
+checkpoint.
 """
 
 from __future__ import annotations
@@ -62,10 +63,17 @@ def write_checkpoint(state: SimState, params: PhysicalParams, path: str | Path) 
             for field in (state.u, state.w):
                 for component in field.data:
                     out.write(expand_band(component, grid).astype("<c16", copy=False))
+            out.flush()
+            os.fsync(out.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # the rename itself
+    finally:
+        os.close(directory)
 
 
 def read_checkpoint(path: str | Path) -> tuple[SimState, PhysicalParams]:

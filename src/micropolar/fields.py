@@ -90,32 +90,35 @@ class ScalarField:
         _check_finite(self.values, "ScalarField")
 
 
-# forward_band / inverse_band go as DFT matrix products (Grid.band's matrices)
-# for n <= MATMUL_MAX_N and as pocketfft passes above.  A product of short
-# lines beats the FFT, and each pass keeps only 2K+1 of its n outputs (K+1
-# along z): on a 2-core x86 host the products were faster at every even n
-# from 16 to 52, and to 62 with the default BLAS threads.  Their rounding
-# grows with n (a pass sums n terms): at n = 48 they missed numpy's real 3-D
-# FFT by more than 1e-15 of the max on about one input in 100.
+# forward_band / inverse_band go as real block-matrix products (Grid.band's
+# dft_rows, dft_z and idft_z) for n <= MATMUL_MAX_N and as pocketfft passes
+# above.  Each pass is one real GEMM, re/im an axis next to the contracted
+# one: a product of short lines beats the FFT, and each pass keeps only 2K+1
+# of its n outputs (K+1 along z).  On a 2-core x86 host with one BLAS thread
+# they beat pocketfft's passes 1.5x at n = 40 and 48, yet go no higher than
+# 32: their rounding grows with n (a pass sums 2n terms; against a long-double
+# DFT, 8e-16 of the max at n = 32, 1.1e-15 at n = 64), and above 32 OpenBLAS
+# threads them, which stalls whenever another process holds the cores.
 MATMUL_MAX_N = 32
 
 
 class BandScratch:
-    """The pruning buffers of forward_band / inverse_band, for up to `fields`
-    fields at a time, on the path that n selects (MATMUL_MAX_N).
+    """The buffers of forward_band / inverse_band for one field at a time, on
+    the path that n selects (MATMUL_MAX_N); both directions share them.
 
-    Products (n <= MATMUL_MAX_N), all of them real: the z pass multiplies
-    each field's real samples by Band.dft_z, which leaves complex (x, y, kz)
-    lines; the x pass multiplies Band.cos_rows and sin_rows into the
-    (x, y kz) view, and the y pass into the (kx, y, kz) lines, broadcast over
-    the fields and kx, which lands in the band layout.  The inverse runs the
-    mirror products, ending in Band.idft_z.  No pass copies or transposes.
-    Every product covers one field, so a batch gives each field the bits it
-    gets alone: a product's rounding depends on its shape.
+    Products (n <= MATMUL_MAX_N), one real GEMM per pass, re/im kept as an
+    axis of length 2 next to the contracted one (Band.dft_rows):
 
-    half_lines    (x, y, kz)   the z pass's output, the inverse's x output
-    row_lines     (kx, y, kz)  the x pass's output, the inverse's y output
-    sin_lines     (kx, y, kz)  the sin products of the x and y passes
+    z_lines   (x, y, 2, kz)    the forward z pass's output (samples times
+                               Band.dft_z); the inverse y pass's output,
+                               which times Band.idft_z gives the samples
+    y_lines   (x, 2, ky, kz)   the forward y pass's output (dft_rows times
+                               each x's (y, 2) rows); the inverse x
+                               pass's output
+    x_lines   (2, kx, ky, kz)  the forward x pass's output (dft_rows times
+                               the (x, 2) rows), interleaved into the
+                               complex band by one copy; the inverse
+                               de-interleaves the band into it
 
     FFTs (n > MATMUL_MAX_N): every pass transforms the contiguous last axis;
     the copies between passes gather the band rows and move the next axis
@@ -126,88 +129,53 @@ class BandScratch:
     half          (x, y, kz)  rfft along z; its first K+1 columns feed irfft
     lines         (x, kz, y)  lines along y
     band_lines    (ky, kz, x) lines along x
+
+    A field's bits do not depend on the other fields of a call: every field
+    goes through the same passes alone.
     """
 
-    # an allocating transform batches as many fields as the pocketfft
-    # buffers of that many fit in this many bytes, and on that path a single
-    # field larger than this goes in x slabs that fit: small grids save
-    # calls, large ones keep buffers small
-    BATCH_BYTES = 1 << 20
+    # on the pocketfft path a field whose half and lines take more bytes than
+    # this goes in x slabs that fit: large grids keep their buffers small
+    SLAB_BYTES = 1 << 20
 
-    def __init__(self, grid: Grid, fields: int = 1):
-        n, k = grid.n_per_axis, grid.band.cutoff
+    def __init__(self, grid: Grid):
+        n, (m, _, h) = grid.n_per_axis, grid.band.shape
         self.by_matmul = n <= MATMUL_MAX_N
-        self.fields = fields
         if self.by_matmul:
-            self.half_lines = np.empty((fields, n, n, k + 1), dtype=np.complex128)
-            self.row_lines = np.empty((fields, 2 * k + 1, n, k + 1), dtype=np.complex128)
-            self.sin_lines = np.empty_like(self.row_lines)
+            self.z_lines = np.empty((n, n, 2, h))
+            self.y_lines = np.empty((n, 2, m, h))
+            self.x_lines = np.empty((2, m, m, h))
             return
-        per_x = _bytes_per_x(n, k)
-        fits = fields > 1 or n * per_x <= self.BATCH_BYTES
-        self.x_slab = slab = n if fits else max(1, self.BATCH_BYTES // per_x)
-        self.half = np.empty((fields, slab, n, n // 2 + 1), dtype=np.complex128)
-        self.lines = np.empty((fields, slab, k + 1, n), dtype=np.complex128)
-        self.band_lines = np.empty((fields, 2 * k + 1, k + 1, n), dtype=np.complex128)
-
-    @classmethod
-    def batched(cls, grid: Grid, count: int) -> "BandScratch":
-        n, k = grid.n_per_axis, grid.band.cutoff
-        field_bytes = n * _bytes_per_x(n, k) + 16 * (2 * k + 1) * (k + 1) * n
-        return cls(grid, max(1, min(count, cls.BATCH_BYTES // field_bytes)))
-
-
-def _bytes_per_x(n: int, k: int) -> int:
-    """Bytes of half and lines per x index of one field (FFT path)."""
-    return 16 * n * (n // 2 + 1 + k + 1)
+        per_x = 16 * n * (n // 2 + 1 + h)
+        fits = n * per_x <= self.SLAB_BYTES
+        self.x_slab = slab = n if fits else max(1, self.SLAB_BYTES // per_x)
+        self.half = np.empty((slab, n, n // 2 + 1), dtype=np.complex128)
+        self.lines = np.empty((slab, h, n), dtype=np.complex128)
+        self.band_lines = np.empty((m, h, n), dtype=np.complex128)
 
 
 def _forward_matmul(values, out, grid, s: BandScratch) -> None:
-    """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
-    n, band, m = grid.n_per_axis, grid.band, len(values)
-    half, rows = s.half_lines[:m], s.row_lines[:m]
-    for field, lines in zip(values, half):
-        np.matmul(field.reshape(n * n, n), band.dft_z, out=_real(lines).reshape(n * n, -1))
-    cos, sin = band.cos_rows, band.sin_rows
-    _dft_product(cos, sin, half.reshape(m, n, -1), rows.reshape(m, len(cos), -1), s.sin_lines, True)
-    _dft_product(cos, sin, rows, out, s.sin_lines, True)
-    out /= n**3
+    """out (kx, ky, kz) = forward_band of one field's samples (x, y, z)."""
+    n, band, (m, _, h) = grid.n_per_axis, grid.band, grid.band.shape
+    z_lines, y_lines, x_lines = s.z_lines, s.y_lines, s.x_lines
+    np.matmul(values.reshape(n * n, n), band.dft_z, out=z_lines.reshape(n * n, 2 * h))
+    np.matmul(band.dft_rows, z_lines.reshape(n, 2 * n, h), out=y_lines.reshape(n, 2 * m, h))
+    np.matmul(band.dft_rows, y_lines.reshape(2 * n, -1), out=x_lines.reshape(2 * m, -1))
+    np.copyto(_real(out).reshape(-1, 2).T, x_lines.reshape(2, -1))  # interleave
     # f(-k) = conj f(k) on kz = 0, exact on the pocketfft path, holds here to
     # rounding only: BLAS treats rows k and -k of a product apart
     out[..., 0] = hermitian_plane(out, grid)
 
 
 def _inverse_matmul(coeffs, out, grid, s: BandScratch) -> None:
-    """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
-    n, band, m = grid.n_per_axis, grid.band, len(coeffs)
-    half, rows = s.half_lines[:m], s.row_lines[:m]
-    cos, sin = band.cos_rows.T, band.sin_rows.T
-    _dft_product(cos, sin, coeffs, rows, s.sin_lines, False)
-    # out, written last, holds the x pass's sin product
-    _dft_product(cos, sin, rows.reshape(m, len(band.rows), -1), half.reshape(m, n, -1), out, False)
-    for lines, field in zip(half, out):
-        np.matmul(_real(lines).reshape(n * n, -1), band.idft_z, out=field.reshape(n * n, n))
-
-
-def _dft_product(cos, sin, lines, out, spare, conj: bool) -> None:
-    """out (..., a, c) = (cos - i sin) @ lines (..., b, c) if conj, else
-    (cos + i sin) @ lines, broadcast over the leading axes, as two real
-    products, the sin one in the spare buffer.  Complex products here
-    would round more (at n=32 the y pass missed a long-double DFT by 7.6e-16
-    of the max, against 3.9e-16), and OpenBLAS threads them, which stalls
-    whenever another process holds the cores; it runs the real ones on one
-    thread."""
-    real, lines = _real(out), _real(np.ascontiguousarray(lines))
-    np.matmul(cos, lines, out=real)
-    sin_part = spare.reshape(-1).view(np.float64)[: real.size].reshape(real.shape)
-    np.matmul(sin, lines, out=sin_part)
-    re, im = real[..., 0::2], real[..., 1::2]
-    if conj:  # -i (a + i b) = b - i a
-        re += sin_part[..., 1::2]
-        im -= sin_part[..., 0::2]
-    else:
-        re -= sin_part[..., 1::2]
-        im += sin_part[..., 0::2]
+    """out (x, y, z) = inverse_band of one field's coefficients (kx, ky, kz)."""
+    n, band, (m, _, h) = grid.n_per_axis, grid.band, grid.band.shape
+    z_lines, y_lines, x_lines = s.z_lines, s.y_lines, s.x_lines
+    rows = band.dft_rows.T  # the block of c + i s
+    np.copyto(x_lines.reshape(2, -1), _real(np.ascontiguousarray(coeffs)).reshape(-1, 2).T)
+    np.matmul(rows, x_lines.reshape(2 * m, -1), out=y_lines.reshape(2 * n, -1))
+    np.matmul(rows, y_lines.reshape(n, 2 * m, h), out=z_lines.reshape(n, 2 * n, h))
+    np.matmul(z_lines.reshape(n * n, 2 * h), band.idft_z, out=out.reshape(n * n, n))
 
 
 def _real(a: np.ndarray) -> np.ndarray:
@@ -216,58 +184,56 @@ def _real(a: np.ndarray) -> np.ndarray:
 
 
 def _forward_fft(values, out, grid, s: BandScratch) -> None:
-    """out (m, kx, ky, kz) = forward_band of m <= s.fields fields (m, x, y, z)."""
-    n, k, m = grid.n_per_axis, grid.band.cutoff, len(values)
-    band_lines = s.band_lines[:m]
+    """out (kx, ky, kz) = forward_band of one field's samples (x, y, z)."""
+    n, k = grid.n_per_axis, grid.band.cutoff
+    band_lines = s.band_lines
     for x in range(0, n, s.x_slab):
         slab = slice(x, min(x + s.x_slab, n))
         width = slab.stop - x
-        half, lines = s.half[:m, :width], s.lines[:m, :width]
-        np.fft.rfft(values[:, slab], axis=-1, out=half)
-        np.copyto(lines, half[..., : k + 1].transpose(0, 1, 3, 2))
+        half, lines = s.half[:width], s.lines[:width]
+        np.fft.rfft(values[slab], axis=-1, out=half)
+        np.copyto(lines, half[..., : k + 1].transpose(0, 2, 1))
         np.fft.fft(lines, axis=-1, out=lines)
-        band_lines[:, : k + 1, :, slab] = lines[..., : k + 1].transpose(0, 3, 2, 1)
-        band_lines[:, k + 1 :, :, slab] = lines[..., n - k :].transpose(0, 3, 2, 1)
+        band_lines[: k + 1, :, slab] = lines[..., : k + 1].transpose(2, 1, 0)
+        band_lines[k + 1 :, :, slab] = lines[..., n - k :].transpose(2, 1, 0)
     np.fft.fft(band_lines, axis=-1, out=band_lines)
     scale = 1.0 / n**3
-    np.multiply(band_lines[..., : k + 1].transpose(0, 3, 1, 2), scale, out=out[:, : k + 1])
-    np.multiply(band_lines[..., n - k :].transpose(0, 3, 1, 2), scale, out=out[:, k + 1 :])
+    np.multiply(band_lines[..., : k + 1].transpose(2, 0, 1), scale, out=out[: k + 1])
+    np.multiply(band_lines[..., n - k :].transpose(2, 0, 1), scale, out=out[k + 1 :])
 
 
 def _inverse_fft(coeffs, out, grid, s: BandScratch) -> None:
-    """out (m, x, y, z) = inverse_band of m <= s.fields fields (m, kx, ky, kz)."""
-    n, k, m = grid.n_per_axis, grid.band.cutoff, len(coeffs)
-    band_lines = s.band_lines[:m]
-    band_lines[..., : k + 1] = coeffs[:, : k + 1].transpose(0, 2, 3, 1)
+    """out (x, y, z) = inverse_band of one field's coefficients (kx, ky, kz)."""
+    n, k = grid.n_per_axis, grid.band.cutoff
+    band_lines = s.band_lines
+    band_lines[..., : k + 1] = coeffs[: k + 1].transpose(1, 2, 0)
     band_lines[..., k + 1 : n - k] = 0.0
-    band_lines[..., n - k :] = coeffs[:, k + 1 :].transpose(0, 2, 3, 1)
+    band_lines[..., n - k :] = coeffs[k + 1 :].transpose(1, 2, 0)
     np.fft.ifft(band_lines, axis=-1, norm="forward", out=band_lines)
     for x in range(0, n, s.x_slab):
         slab = slice(x, min(x + s.x_slab, n))
         width = slab.stop - x
-        lines = s.lines[:m, :width]
-        lines[..., : k + 1] = band_lines[:, : k + 1, :, slab].transpose(0, 3, 2, 1)
+        lines = s.lines[:width]
+        lines[..., : k + 1] = band_lines[: k + 1, :, slab].transpose(2, 1, 0)
         lines[..., k + 1 : n - k] = 0.0
-        lines[..., n - k :] = band_lines[:, k + 1 :, :, slab].transpose(0, 3, 2, 1)
+        lines[..., n - k :] = band_lines[k + 1 :, :, slab].transpose(2, 1, 0)
         np.fft.ifft(lines, axis=-1, norm="forward", out=lines)
-        half = s.half[:m, :width, :, : k + 1]
-        np.copyto(half, lines.transpose(0, 1, 3, 2))
-        np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out[:, slab])
+        half = s.half[:width, :, : k + 1]
+        np.copyto(half, lines.transpose(0, 2, 1))
+        np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out[slab])
 
 
 def _by_fields(steps, data, out, grid, scratch) -> None:
-    """The step of the scratch's path, of steps (pocketfft, matmul), over the
-    fields of data (..., 3-D) into C-contiguous out, in batches of
-    scratch.fields (BandScratch.batched when scratch is None)."""
+    """The step of the scratch's path, of steps (pocketfft, matmul), field by
+    field over data (..., 3-D) into C-contiguous out, through one scratch (a
+    fresh one when None)."""
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    data = data.reshape((-1,) + data.shape[-3:])
-    out = out.reshape((-1,) + out.shape[-3:])
-    scratch = scratch or BandScratch.batched(grid, len(data))
+    scratch = scratch or BandScratch(grid)
     step = steps[scratch.by_matmul]
-    for start in range(0, len(data), scratch.fields):
-        batch = slice(start, start + scratch.fields)
-        step(data[batch], out[batch], grid, scratch)
+    fields = data.reshape((-1,) + data.shape[-3:])
+    for field, into in zip(fields, out.reshape((-1,) + out.shape[-3:])):
+        step(field, into, grid, scratch)
 
 
 def forward_band(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,20 +33,23 @@ class Band:
     inv_k_sq its inverse with 0 at k = 0 (Leray / Poisson kernel); weight is
     the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
 
-    The DFT matrices of the pruned transforms (fields.forward_band on small
-    grids), unnormalized, with c + i s = exp(2 pi i k x / n):
-    cos_rows, sin_rows  (2K+1, n) real, c and s for the rows k: the x and y
-                        passes multiply by c - i s, their inverses by the
-                        transpose of c + i s
-    dft_z               (n, 2(K+1)) real, columns c, -s for kz = 0..K: real
-                        lines times it are complex lines of K+1 coefficients
-    idft_z              (2(K+1), n) real, rows weight c, -weight s: the real
-                        samples of kz >= 0 lines with their mirrors, as irfft
-                        (the row of Im on kz = 0 is zero)
+    The real block matrices of the pruned transforms (fields.forward_band on
+    grids up to fields.MATMUL_MAX_N), built on first use, with
+    c + i s = exp(2 pi i k x / n).  Re/im is an axis of its own, so c - i s
+    is the 2x2 block [[c, s], [-s, c]] acting on (re, im):
+    dft_rows  (2(2K+1), 2n), rows (re/im, k) for the rows k, columns
+              (x, re/im): the forward x and y passes; its transpose, the
+              block of c + i s, the inverse ones
+    dft_z     (n, 2(K+1)), columns c / n^3 then -s / n^3 for kz = 0..K: real
+              lines times it are the re and im blocks of K+1 coefficients,
+              with the forward's 1/n^3
+    idft_z    (2(K+1), n), rows weight c then -weight s: the real samples of
+              kz >= 0 lines with their mirrors, as irfft (Im on kz = 0 drops
+              out, its s being 0)
     """
 
     def __init__(self, grid: "Grid"):
-        n = grid.n_per_axis
+        n = self.n = grid.n_per_axis
         k = self.cutoff = (n - 1) // 3
         rows = self.rows = np.r_[0 : k + 1, n - k : n]
         self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
@@ -55,15 +59,30 @@ class Band:
         self.inv_k_sq = np.zeros_like(self.k_sq)
         np.divide(1.0, self.k_sq, out=self.inv_k_sq, where=self.k_sq > 0.0)
         self.weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)
-        self.cos_rows, self.sin_rows = _cos_sin(rows, n)
-        cos, sin = _cos_sin(np.arange(k + 1), n)  # (K+1, n)
-        self.dft_z = np.stack([cos.T, -sin.T], axis=-1).reshape(n, 2 * (k + 1))
-        self.idft_z = np.stack([cos, -sin], axis=1).reshape(2 * (k + 1), n)
-        self.idft_z *= np.repeat(self.weight, 2)[:, None]
-        self.idft_z[1] = 0.0
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    @functools.cached_property
+    def dft_rows(self) -> np.ndarray:
+        cos, sin = _cos_sin(self.rows, self.n)
+        block = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)])
+        return _frozen(block.reshape(2 * len(self.rows), 2 * self.n))
+
+    @functools.cached_property
+    def dft_z(self) -> np.ndarray:
+        cos, sin = _cos_sin(np.arange(self.cutoff + 1), self.n)
+        return _frozen(np.ascontiguousarray(np.concatenate([cos, -sin]).T / self.n**3))
+
+    @functools.cached_property
+    def idft_z(self) -> np.ndarray:
+        cos, sin = _cos_sin(np.arange(self.cutoff + 1), self.n)
+        return _frozen(np.concatenate([cos, -sin]) * np.tile(self.weight, 2)[:, None])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _cos_sin(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -142,18 +142,16 @@ _VV_TERMS = tuple({(i, j), (j, i)} for i, j in _VV_PAIRS)
 
 class AdvectionWorkspace:
     """The buffers advect_hat reuses: the physical v samples, one physical f
-    component, the products being transformed, the band transforms' scratch,
-    their band output and one band component for a term being added.
-    Products go one field at a time, or a few on a grid small enough to batch
-    (BandScratch.batched)."""
+    component, the product being transformed, the band transforms' scratch,
+    their band output and one band component for a term being added."""
 
     def __init__(self, grid: Grid):
         band = grid.band.shape
-        self.scratch = BandScratch.batched(grid, 3)
+        self.scratch = BandScratch(grid)
         self.v_phys = np.empty((3,) + grid.shape)
         self.f_phys = np.empty(grid.shape)
-        self.products = np.empty((self.scratch.fields,) + grid.shape)
-        self.hats = np.empty((self.scratch.fields,) + band, dtype=np.complex128)
+        self.product = np.empty(grid.shape)
+        self.hat = np.empty(band, dtype=np.complex128)
         self.term = np.empty(band, dtype=np.complex128)
 
 
@@ -163,20 +161,13 @@ def _flux_divergence(products, terms, div, grid: Grid, work: AdvectionWorkspace)
     its rows at once, each row's terms in x, y, z order (x sets the row)."""
     band = grid.band
     dks = (band.dkx, band.dky, band.dkz)
-    batch = len(work.products)
-    for start in range(0, len(products), batch):
-        chunk = products[start : start + batch]
-        for row, (a, b) in enumerate(chunk):
-            np.multiply(a, b, out=work.products[row])
-        hats = forward_band(
-            work.products[: len(chunk)], grid, work.hats[: len(chunk)], work.scratch
-        )
-        for hat, rows in zip(hats, terms[start : start + batch]):
-            for row, axis in rows:
-                if axis == 0:
-                    np.multiply(dks[0], hat, out=div[row])
-                else:
-                    div[row] += np.multiply(dks[axis], hat, out=work.term)
+    for (a, b), rows in zip(products, terms):
+        hat = forward_band(np.multiply(a, b, out=work.product), grid, work.hat, work.scratch)
+        for row, axis in rows:
+            if axis == 0:
+                np.multiply(dks[0], hat, out=div[row])
+            else:
+                div[row] += np.multiply(dks[axis], hat, out=work.term)
 
 
 def advect_hat(
@@ -284,16 +275,10 @@ def random_band_limited(
     spectrum (any real radial profile keeps the Hermitian symmetry of the
     noise).
     """
-    # as many components at a time as the scratch batches: three (n, n, n)
-    # draws are one (3, n, n, n) draw
     data = np.empty((3,) + grid.band.shape, dtype=np.complex128)
-    scratch = BandScratch.batched(grid, 3)
-    noise = np.empty((scratch.fields,) + grid.shape)
-    for start in range(0, 3, scratch.fields):
-        batch = noise[: min(scratch.fields, 3 - start)]
-        for field in batch:
-            rng.standard_normal(out=field)
-        forward_band(batch, grid, data[start : start + len(batch)], scratch)
+    scratch, noise = BandScratch(grid), np.empty(grid.shape)
+    for component in data:
+        forward_band(rng.standard_normal(out=noise), grid, component, scratch)
     if envelope is not None:
         data *= envelope
     data[:, 0, 0, 0] = 0.0

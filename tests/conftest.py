@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from micropolar import fields
 from micropolar.fields import (
     RealVectorField,
     SpectralVectorField,
@@ -13,6 +18,24 @@ from micropolar.fields import (
 from micropolar.grid import Grid, make_grid
 from micropolar.operators import random_band_limited
 from micropolar.operators import single_mode as single_mode_field  # noqa: F401 (shared builder)
+
+
+band_n = st.sampled_from(range(4, 65, 2))  # both sides of fields.MATMUL_MAX_N
+seeds = st.integers(0, 2**32 - 1)
+paths = st.sampled_from(["selected", "pocketfft"])
+
+
+@contextmanager
+def transform_path(path):
+    """forward_band / inverse_band on the path n selects ("selected"), or on
+    one path for every n: "pocketfft", or "products", the matrix products
+    that n <= fields.MATMUL_MAX_N selects."""
+    saved = fields.MATMUL_MAX_N
+    fields.MATMUL_MAX_N = {"selected": saved, "pocketfft": 0, "products": sys.maxsize}[path]
+    try:
+        yield
+    finally:
+        fields.MATMUL_MAX_N = saved
 
 
 @pytest.fixture(scope="session")

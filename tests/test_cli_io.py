@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -40,7 +42,7 @@ from micropolar.grid import make_grid
 from micropolar.operators import leray_hat
 from micropolar.runio import CSV_HEADER, DirectoryLock, OutputDirBusy, execute_run
 
-from conftest import random_spectral_field
+from conftest import random_spectral_field, transform_path
 
 
 def small_config_text(out_dir, chi=0.2, t_end=0.3, amplitude=0.5, extra=""):
@@ -325,6 +327,28 @@ def test_checkpoint_bad_grid(tmp_path, grid8, field, value, message):
         read_checkpoint(path)
 
 
+def test_checkpoint_write_syncs_file_then_directory(tmp_path, grid8, monkeypatch):
+    """The whole temp file reaches the disk before it replaces the checkpoint,
+    and the directory after, so a power loss leaves the old or the new one."""
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("dir fsync",) if stat.S_ISDIR(info.st_mode) else ("file fsync", info.st_size))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        calls.append(("replace",))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(make_state(grid8), PhysicalParams(0.4, 0.3, 0.2), path)
+    assert calls == [("file fsync", path.stat().st_size), ("replace",), ("dir fsync",)]
+
+
 def test_checkpoint_failed_write_keeps_previous(tmp_path, grid8, monkeypatch):
     params = PhysicalParams(mu=0.4, gamma=0.3, chi=0.2)
     path = tmp_path / "checkpoint.bin"
@@ -521,6 +545,34 @@ def test_csv_byte_identical_across_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         csvs.append((tmp_path / "out" / "diagnostics.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def chi01_rows(out_dir, n, steps):
+    """The CSV rows of the bundled chi01 run at n points per axis, cut to
+    `steps` steps with a row every 2."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "chi01.cfg").read_text()
+    for key, value in (
+        ("grid.n", n), ("stepper.t_end", 0.02 * steps), ("output.cadence", 2), ("output.dir", out_dir),
+    ):
+        text = re.sub(rf"^{re.escape(key)} = \S+", f"{key} = {value}", text, flags=re.M)
+    lines = execute_run(parse_config_text(text)).csv_path.read_text().splitlines()
+    return lines[0].split(","), np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+
+
+@pytest.mark.parametrize("n, steps", [(32, 20), (34, 4)])
+def test_csv_agrees_across_transform_paths(tmp_path, n, steps):
+    """A short chi01 run on the matrix products and on pocketfft, at the
+    largest n the products are selected for and at one above it: every CSV
+    column agrees to 1e-14 of its largest value (measured: 9.5e-16 at most,
+    cross_term at n = 34)."""
+    with transform_path("products"):
+        header, products = chi01_rows(tmp_path / "products", n, steps)
+    with transform_path("pocketfft"):
+        _, pocketfft = chi01_rows(tmp_path / "pocketfft", n, steps)
+    assert products.shape == (steps // 2 + 1, len(header))
+    scale = np.abs(pocketfft).max(axis=0)
+    for name, got, want, top in zip(header, products.T, pocketfft.T, scale):
+        assert np.abs(got - want).max() <= 1e-14 * top, name
 
 
 def test_report_matches_csv(tmp_path):

@@ -149,7 +149,7 @@ def test_push_record_checkpoint_working_set(tmp_path):
     """Traced peak of one push / record / checkpoint cycle at n=32, in band
     vectors (3, 2K+1, 2K+1, K+1) complex: 3.0 (3.6 with the pocketfft
     scratch), the sup norms' one sample buffer and one transform scratch;
-    whole (3, n, n, n) sample arrays and a fresh batched scratch per field
+    whole (3, n, n, n) sample arrays and a fresh scratch per field
     read 7.2.  Below the step's own
     transients, so a CSV row is never the run's peak."""
     import tracemalloc

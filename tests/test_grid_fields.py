@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.fft import fftn
 
-from micropolar import fields
 from micropolar.fields import (
     BandScratch,
     RealVectorField,
@@ -31,27 +28,16 @@ from micropolar.operators import random_band_limited
 
 from conftest import (
     band_gather,
+    band_n,
+    paths,
     random_real_field,
     random_spectral_field,
+    seeds,
     single_mode_field,
+    transform_path,
 )
 
 even_n = st.sampled_from(range(4, 41, 2))
-band_n = st.sampled_from(range(4, 65, 2))  # both sides of fields.MATMUL_MAX_N
-seeds = st.integers(0, 2**32 - 1)
-paths = st.sampled_from(["selected", "pocketfft"])
-
-
-@contextmanager
-def transform_path(path):
-    """forward_band / inverse_band on the path n selects, or on the pocketfft
-    path for every n (the matrix products are selected up to MATMUL_MAX_N)."""
-    saved = fields.MATMUL_MAX_N
-    fields.MATMUL_MAX_N = saved if path == "selected" else 0
-    try:
-        yield
-    finally:
-        fields.MATMUL_MAX_N = saved
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +378,20 @@ def test_hermitian_plane_is_idempotent(n, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(n=band_n, seed=seeds, count=st.integers(1, 6), path=paths)
-def test_batched_scratch_is_bitwise_one_field(n, seed, count, path):
-    """BandScratch.batched transforms several fields per call on either path;
-    every field comes out bit for bit as with a one-field scratch."""
+def test_multi_field_call_is_bitwise_one_field(n, seed, count, path):
+    """forward_band / inverse_band of several fields in one call, on either
+    path, give every field bit for bit what it gets alone, through its own
+    scratch or a fresh one: no field's bits depend on the others."""
     with transform_path(path):
-        check_batched_scratch(n, seed, count)
+        check_multi_field_call(n, seed, count)
 
 
-def check_batched_scratch(n, seed, count):
+def check_multi_field_call(n, seed, count):
     grid = make_grid(n, 2.0 * np.pi)
     values = np.random.default_rng(seed).standard_normal((count,) + grid.shape)
-    batched = BandScratch.batched(grid, count)
     one = BandScratch(grid)
-    coeffs = forward_band(values, grid, scratch=batched)
-    back = inverse_band(coeffs, grid, scratch=batched)
+    coeffs = forward_band(values, grid)
+    back = inverse_band(coeffs, grid)
     for field, coeff, sample in zip(values, coeffs, back):
         assert np.array_equal(forward_band(field, grid, scratch=one), coeff)
         assert np.array_equal(inverse_band(coeff, grid, scratch=one), sample)

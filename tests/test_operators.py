@@ -41,8 +41,12 @@ from micropolar.operators import (
 from conftest import (
     advective_oracle,
     band_gather,
+    band_n,
+    paths,
     random_spectral_field,
+    seeds,
     single_mode_field,
+    transform_path,
 )
 
 
@@ -157,6 +161,36 @@ def test_vector_identity_100_fields(grid8):
         rhs = laplacian(f).data
         scale = max(np.abs(rhs).max(), 1e-30)
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def check_operator_identities(n, seed):
+    """curl grad = 0, div curl = 0, grad div - curl curl = Laplacian, and
+    the Leray projection is idempotent and self-adjoint, on random band
+    fields, each residual against the scale of its terms."""
+    grid = make_grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    grad = gradient(ScalarField(grid, band_limited_noise(grid, rng)))
+    assert np.abs(curl(grad).data).max() <= 1e-13 * np.abs(grad.data).max()
+    f, g = (random_band_limited(grid, rng) for _ in range(2))
+    curl_f = curl(f)
+    div_curl = divergence(curl_f).values
+    assert np.abs(div_curl).max() <= 1e-13 * np.abs(to_real(curl_f).data).max()
+    lhs = grad_div(f).data - curl(curl_f).data
+    rhs = laplacian(f).data
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+    pf = leray_project(f)
+    assert np.abs(leray_project(pf).data - pf.data).max() <= 1e-12 * np.abs(pf.data).max()
+    lhs, rhs = inner(pf, g), inner(f, leray_project(g))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=band_n, seed=seeds, path=paths)
+def test_operator_identities_sweep(n, seed, path):
+    """The identities above, drawn over even n in 4..64 on both transform
+    paths (the n=8 tests above check them on fixed fields)."""
+    with transform_path(path):
+        check_operator_identities(n, seed)
 
 
 # ---------------------------------------------------------------------------
