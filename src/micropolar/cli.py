@@ -5,9 +5,9 @@
     micropolar resume <checkpoint> <config> continue a checkpointed run
 
 Exit codes: 0 success / all checks pass; 1 verification failures;
-2 invalid config, unknown suite, busy output directory, or a working set too
-large to allocate; 3 runtime abort (CFL violation or divergence) with the
-last good checkpoint retained.
+2 invalid config, unknown suite, busy output directory, an output file that
+cannot be written, or a working set too large to allocate; 3 runtime abort
+(CFL violation or divergence) with the last good checkpoint retained.
 """
 
 from __future__ import annotations
@@ -41,11 +41,15 @@ def _cmd_run(config_path: str) -> int:
     return EXIT_USAGE if config is None else _drive(config)
 
 
-def _drive(config, initial=None, params=None) -> int:
+def _drive(config, initial=None) -> int:
     try:
-        result = execute_run(config, initial=initial, params=params)
+        result = execute_run(config, initial=initial)
     except OutputDirBusy as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # the CSV, a checkpoint, the report or abort.txt
+        where = exc.filename2 or exc.filename or config.output.directory  # a rename's target
+        print(f"error: cannot write {where} ({exc.strerror or exc})", file=sys.stderr)
         return EXIT_USAGE
     except (CflError, SimulationDiverged) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
@@ -116,7 +120,7 @@ def _cmd_resume(checkpoint_path: str, config_path: str) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    return _drive(config, initial=state, params=params)
+    return _drive(config, initial=state)  # the config's params, checked above
 
 
 def _close(a: float, b: float) -> bool:

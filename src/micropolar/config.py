@@ -74,26 +74,25 @@ class RunConfig:
     output: OutputConfig
 
 
-_SCHEMA: dict[str, tuple[type, bool]] = {
-    # key: (type, required)
-    "grid.n": (int, True),
-    "grid.L": (float, True),
-    "params.mu": (float, True),
-    "params.gamma": (float, True),
-    "params.chi": (float, True),
-    "ic.kind": (str, True),
-    "ic.peak": (float, True),
-    "ic.amplitude": (float, True),
-    "ic.seed": (int, False),
-    "stepper.dt": (float, True),
-    "stepper.t_end": (float, True),
-    "stepper.cfl_safety": (float, False),
-    "output.cadence": (int, True),
-    "output.dir": (str, True),
-    "output.checkpoint_every": (int, False),
+_SCHEMA: dict[str, type] = {
+    "grid.n": int,
+    "grid.L": float,
+    "params.mu": float,
+    "params.gamma": float,
+    "params.chi": float,
+    "ic.kind": str,
+    "ic.peak": float,
+    "ic.amplitude": float,
+    "ic.seed": int,
+    "stepper.dt": float,
+    "stepper.t_end": float,
+    "stepper.cfl_safety": float,
+    "output.cadence": int,
+    "output.dir": str,
+    "output.checkpoint_every": int,
 }
 
-_DEFAULTS = {
+_DEFAULTS = {  # every other key is required
     "ic.seed": 0,
     "stepper.cfl_safety": 0.5,
     "output.checkpoint_every": 0,
@@ -138,14 +137,13 @@ def parse_config_text(text: str) -> RunConfig:
             )
         if not raw_value:
             raise ConfigError("empty value", lineno, key)
-        values[key] = _convert(raw_value, _SCHEMA[key][0], lineno, key)
+        values[key] = _convert(raw_value, _SCHEMA[key], lineno, key)
         seen_lines[key] = lineno
 
-    for key, (_, required) in _SCHEMA.items():
-        if required and key not in values:
+    for key in _SCHEMA:
+        if key not in values and key not in _DEFAULTS:
             raise ConfigError("required key missing", key=key)
-        if key not in values:
-            values[key] = _DEFAULTS[key]
+        values.setdefault(key, _DEFAULTS.get(key))
     seed = values["ic.seed"]
     if seed < 0:  # numpy's seeding would refuse it later, naming no key
         line = seen_lines["ic.seed"]

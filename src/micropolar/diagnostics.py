@@ -73,7 +73,6 @@ class DecayFit:
     t0_detected: float | None
     window: tuple[float, float] | None
     monotone_after_t0: bool
-    c_infty_used: float = CALIBRATED_C_INFTY
     slope_pair: float | None = None
     w_scaled_trend: np.ndarray | None = None
     pair_strictly_decreasing: bool | None = None
@@ -99,45 +98,33 @@ def _check_ordered(series) -> list[DiagnosticsRecord]:
     return series
 
 
-def detect_t0(
-    series,
-    p: PhysicalParams,
-    c_infty: float = CALIBRATED_C_INFTY,
-) -> DecayFit:
+def _non_increasing(dpair: np.ndarray) -> bool:
+    """No relative increase of ||(Du,Dw)|| beyond MONOTONE_RTOL between
+    consecutive samples."""
+    return bool(np.all(dpair[1:] <= dpair[:-1] * (1.0 + MONOTONE_RTOL)))
+
+
+def detect_t0(series, p: PhysicalParams) -> DecayFit:
     """Earliest time where the gradient-smallness condition holds.
 
     The condition is c^2 ||(u,w)(0)|| ||(Du,Dw)(t)|| < min(mu, gamma)^2 with
-    the calibrated sup-norm constant standing in for c.  Returns a DecayFit
-    with t0_detected None when no sample qualifies (not an error), and scans
-    ||(Du,Dw)|| for relative increases beyond 1e-9 after the detected onset.
+    the calibrated sup-norm constant CALIBRATED_C_INFTY standing in for c.
+    Returns a DecayFit with t0_detected None when no sample qualifies (not an
+    error), and scans ||(Du,Dw)|| for relative increases beyond 1e-9 after
+    the detected onset.
     """
     series = _check_ordered(series)
     initial_pair = series[0].l2_pair
     threshold = min(p.mu, p.gamma) ** 2
-    t0 = None
-    idx = None
     for i, rec in enumerate(series):
-        if c_infty**2 * initial_pair * rec.l2_dpair < threshold:
-            t0, idx = rec.t, i
-            break
-    if t0 is None:
-        return DecayFit(
-            t0_detected=None,
-            window=None,
-            monotone_after_t0=False,
-            c_infty_used=c_infty,
-        )
-    monotone = True
-    for prev, cur in zip(series[idx:], series[idx + 1 :]):
-        if cur.l2_dpair > prev.l2_dpair * (1.0 + MONOTONE_RTOL):
-            monotone = False
-            break
-    return DecayFit(
-        t0_detected=t0,
-        window=(t0, series[-1].t),
-        monotone_after_t0=monotone,
-        c_infty_used=c_infty,
-    )
+        if CALIBRATED_C_INFTY**2 * initial_pair * rec.l2_dpair < threshold:
+            dpair = np.array([later.l2_dpair for later in series[i:]])
+            return DecayFit(
+                t0_detected=rec.t,
+                window=(rec.t, series[-1].t),
+                monotone_after_t0=_non_increasing(dpair),
+            )
+    return DecayFit(t0_detected=None, window=None, monotone_after_t0=False)
 
 
 def fit_decay(series, fit_window: tuple[float, float]) -> DecayFit:
@@ -154,9 +141,6 @@ def fit_decay(series, fit_window: tuple[float, float]) -> DecayFit:
     l2_w = np.array([rec.l2_w for rec in window])
 
     strictly_decreasing = bool(np.all(np.diff(pair) < 0.0))
-    monotone = bool(
-        np.all(dpair[1:] <= dpair[:-1] * (1.0 + MONOTONE_RTOL))
-    )
 
     positive = (times > 0.0) & (pair > 0.0)
     slope_pair = None
@@ -176,7 +160,7 @@ def fit_decay(series, fit_window: tuple[float, float]) -> DecayFit:
     return DecayFit(
         t0_detected=t_lo,
         window=(t_lo, t_hi),
-        monotone_after_t0=monotone,
+        monotone_after_t0=_non_increasing(dpair),
         slope_pair=slope_pair,
         w_scaled_trend=np.sqrt(times) * l2_w,
         pair_strictly_decreasing=strictly_decreasing,

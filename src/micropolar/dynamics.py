@@ -145,7 +145,7 @@ def _linear_components(
     coef_u = -(p.mu + p.chi) * band.k_sq
     coef_w = -p.gamma * band.k_sq
     div = divergence_hat(w_data, grid)
-    for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
+    for component, dk in enumerate(band.dk):
         l_w = coef_w * w_data[component]
         l_w += 1j * dk * div
         l_w -= 2.0 * p.chi * w_data[component]
@@ -247,13 +247,12 @@ class Stepper:
     ) -> np.ndarray:
         """Exact linear w propagator over dt/2 or dt, on band data; into out
         when given, which may be data itself."""
-        band = self.grid.band
         factor = self.grid.k_dot(data)
-        factor *= band.inv_k_sq
+        factor *= self.grid.band.inv_k_sq
         b = self._bw_half if half else self._bw_full
         e = self._ew_half if half else self._ew_full
         out = np.empty_like(data) if out is None else out
-        for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
+        for component, dk in enumerate(self.grid.band.dk):
             along = b * dk * factor
             along += data[component]
             np.multiply(e, along, out=out[component])

@@ -278,15 +278,10 @@ def fold_band(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.ascontiguousarray(data[..., rows[:, None], rows, : k + 1])
 
 
-def _mirror_rows(grid: Grid) -> np.ndarray:
-    k = grid.band.cutoff
-    return (-np.arange(2 * k + 1)) % (2 * k + 1)  # band row of -k
-
-
 def hermitian_plane(band: np.ndarray, grid: Grid) -> np.ndarray:
     """The Hermitian part of the band's kz = 0 plane, which holds both k and
     -k: f(k) and conj f(-k) averaged, so the result is exactly Hermitian."""
-    neg = _mirror_rows(grid)
+    neg = grid.band.mirror
     plane = band[..., 0]
     return 0.5 * (plane + np.conj(plane[..., neg[:, None], neg]))
 
@@ -295,7 +290,7 @@ def expand_band(band: np.ndarray, grid: Grid) -> np.ndarray:
     """Full coefficients (..., n, n, n) of the band, by f(-k) = conj f(k),
     with the kz = 0 plane replaced by its Hermitian part (hermitian_plane)."""
     n, k, rows = grid.n_per_axis, grid.band.cutoff, grid.band.rows
-    neg = _mirror_rows(grid)
+    neg = grid.band.mirror
     full = np.zeros(band.shape[:-3] + (n, n, n), dtype=band.dtype)
     xy = (Ellipsis, rows[:, None], rows)
     full[xy + (slice(1, k + 1),)] = band[..., 1:]

@@ -28,8 +28,9 @@ class Band:
     index kept, |k_axis| < n/3: a product of two band fields reaches 2K, whose
     alias 2K - n lies outside the band for every n, and there is no Nyquist
     plane.  Axes are in FFT order: 0..K then n-K..n-1 on x and y (rows), 0..K
-    on z.  dkx, dky, dkz are the derivative wavenumbers on the band, k_sq their
-    sum of squares (the Laplacian's symbol, and |k|^2: no Nyquist mode) and
+    on z; mirror maps each row to the row of its negative.  dkx, dky, dkz (dk
+    together) are the derivative wavenumbers on the band, k_sq their sum of
+    squares (the Laplacian's symbol, and |k|^2: no Nyquist mode) and
     inv_k_sq its inverse with 0 at k = 0 (Leray / Poisson kernel); weight is
     the multiplicity of a kz index, 1 on kz = 0 and 2 elsewhere.
 
@@ -52,6 +53,7 @@ class Band:
         n = self.n = grid.n_per_axis
         k = self.cutoff = (n - 1) // 3
         rows = self.rows = np.r_[0 : k + 1, n - k : n]
+        self.mirror = (-np.arange(2 * k + 1)) % (2 * k + 1)
         self.dkx, self.dky = grid.dkx[rows], grid.dky[:, rows]
         self.dkz = grid.dkz[..., : k + 1]
         self.shape = (2 * k + 1, 2 * k + 1, k + 1)
@@ -62,6 +64,10 @@ class Band:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    @property
+    def dk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.dkx, self.dky, self.dkz
 
     @functools.cached_property
     def dft_rows(self) -> np.ndarray:

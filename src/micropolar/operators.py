@@ -44,9 +44,7 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
     """d/dx_axis applied to every component (axis 0 is x)."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    band = f.grid.band
-    dk = (band.dkx, band.dky, band.dkz)[axis]
-    return SpectralVectorField(f.grid, 1j * dk * f.data)
+    return SpectralVectorField(f.grid, 1j * f.grid.band.dk[axis] * f.data)
 
 
 def divergence_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -59,23 +57,23 @@ def divergence(f: SpectralVectorField) -> ScalarField:
     return ScalarField(f.grid, inverse_band(divergence_hat(f.data, f.grid), f.grid))
 
 
+def _i_k(scalar: np.ndarray, grid: Grid) -> np.ndarray:
+    """The vector i k s of band scalar coefficients s."""
+    out = np.empty((3,) + scalar.shape, dtype=np.complex128)
+    for component, dk in enumerate(grid.band.dk):
+        out[component] = 1j * dk * scalar
+    return out
+
+
 def gradient(p: ScalarField) -> SpectralVectorField:
     """Spectral gradient of a physical scalar field; ValueError if the field
     has content off the band."""
-    g = p.grid
-    p_hat = band_coefficients(p.values, g)
-    band = g.band
-    out = np.empty((3,) + band.shape, dtype=np.complex128)
-    out[0] = 1j * band.dkx * p_hat
-    out[1] = 1j * band.dky * p_hat
-    out[2] = 1j * band.dkz * p_hat
-    return SpectralVectorField(g, out)
+    return SpectralVectorField(p.grid, _i_k(band_coefficients(p.values, p.grid), p.grid))
 
 
 def curl_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral curl i k x f_hat of band coefficients."""
-    band = grid.band
-    kx, ky, kz = band.dkx, band.dky, band.dkz
+    kx, ky, kz = grid.band.dk
     out = np.empty_like(data)
     out[0] = 1j * (ky * data[2] - kz * data[1])
     out[1] = 1j * (kz * data[0] - kx * data[2])
@@ -95,13 +93,7 @@ def laplacian(f: SpectralVectorField) -> SpectralVectorField:
 
 def grad_div_hat(data: np.ndarray, grid: Grid) -> np.ndarray:
     """grad(div f) of band coefficients."""
-    band = grid.band
-    div = divergence_hat(data, grid)
-    out = np.empty_like(data)
-    out[0] = 1j * band.dkx * div
-    out[1] = 1j * band.dky * div
-    out[2] = 1j * band.dkz * div
-    return out
+    return _i_k(divergence_hat(data, grid), grid)
 
 
 def grad_div(f: SpectralVectorField) -> SpectralVectorField:
@@ -118,11 +110,10 @@ def leray_hat(
     implemented gradient operator.  Writes into out when given, which may be
     data itself.
     """
-    band = grid.band
     factor = grid.k_dot(data)
-    factor *= band.inv_k_sq
+    factor *= grid.band.inv_k_sq
     out = np.empty_like(data) if out is None else out
-    for component, dk in enumerate((band.dkx, band.dky, band.dkz)):
+    for component, dk in enumerate(grid.band.dk):
         np.subtract(data[component], dk * factor, out=out[component])
     out[:, 0, 0, 0] = 0.0
     return out
@@ -159,8 +150,7 @@ def _flux_divergence(products, terms, div, grid: Grid, work: AdvectionWorkspace)
     """div[row] = sum over the (row, axis) terms of the products (a, b) of
     dk_axis F(a * b), F = forward_band: each transformed product is added into
     its rows at once, each row's terms in x, y, z order (x sets the row)."""
-    band = grid.band
-    dks = (band.dkx, band.dky, band.dkz)
+    dks = grid.band.dk
     for (a, b), rows in zip(products, terms):
         hat = forward_band(np.multiply(a, b, out=work.product), grid, work.hat, work.scratch)
         for row, axis in rows:

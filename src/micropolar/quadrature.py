@@ -34,17 +34,6 @@ def one_sided_slope(values, h: float, backward: bool = False) -> float:
     return -slope if backward else slope
 
 
-def corrected_trapezoid(values, h: float) -> float:
-    """End-corrected composite trapezoid of uniformly sampled values."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return 0.0
-    trap = h * (values.sum() - 0.5 * (values[0] + values[-1]))
-    fa = one_sided_slope(values, h)
-    fb = one_sided_slope(values, h, backward=True)
-    return trap - h * h / 12.0 * (fb - fa)
-
-
 class RunningIntegral:
     """Incrementally accumulated corrected trapezoid over per-step samples."""
 

@@ -19,7 +19,8 @@ from .checkpoint import write_checkpoint
 from .config import ConfigError, RunConfig
 from .diagnostics import DecayFit, DiagnosticsRecord, RunAccumulator, detect_t0, fit_decay
 from .dynamics import make_initial, evolve
-from .fields import PhysicalParams, SimState
+from .fields import SimState
+from .operators import CALIBRATED_C_INFTY
 
 CSV_COLUMNS = (
     "t", "l2_u", "l2_w", "l2_pair", "l2_Du", "l2_Dw", "l2_Dpair",
@@ -138,7 +139,7 @@ def write_report(
         f"records: {len(records)} (t = {records[0].t!r} .. {last.t!r})",
         "",
         f"energy ledger max relative slack: {slack!r}",
-        f"sup-norm interpolation constant used: {fit.c_infty_used!r}",
+        f"sup-norm interpolation constant used: {CALIBRATED_C_INFTY!r}",
         f"t0 detected: {fit.t0_detected!r}",
         f"window: {fit.window!r}",
         f"gradient norm non-increasing after t0: {fit.monotone_after_t0}",
@@ -154,11 +155,7 @@ def write_report(
     path.write_text("\n".join(lines))
 
 
-def execute_run(
-    config: RunConfig,
-    initial: SimState | None = None,
-    params: PhysicalParams | None = None,
-) -> RunResult:
+def execute_run(config: RunConfig, initial: SimState | None = None) -> RunResult:
     """Run a configured simulation to t_end, writing all outputs.
 
     CflError / SimulationDiverged propagate to the caller after the abort
@@ -167,7 +164,7 @@ def execute_run(
     and the stepper's workspace are allocated before anything is written, so
     a MemoryError there leaves no output behind.
     """
-    p = params if params is not None else config.params
+    p = config.params
     state = initial if initial is not None else make_initial(config.ic, config.grid)
     steps = evolve(state, p, config.stepper)
     out_dir = config.output.directory
@@ -217,7 +214,7 @@ def execute_run(
         window = detection.window or (records[0].t, records[-1].t)
         fit = fit_decay(records, window)
         if detection.t0_detected is None:
-            fit = replace(fit, t0_detected=None, c_infty_used=detection.c_infty_used)
+            fit = replace(fit, t0_detected=None)
         write_report(report_path, config, records, fit)
 
     return RunResult(

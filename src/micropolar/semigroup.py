@@ -317,13 +317,19 @@ class DuhamelReconstruction:
     form: str
 
 
+def _forcings(state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The w equation's forcings (u.grad)w, grad(div w) and curl u on the band."""
+    g, u, w = state.grid, state.u.data, state.w.data
+    return advect_hat(u, w, g), grad_div_hat(w, g), curl_hat(u, g)
+
+
 def _forcing_hat(state: SimState, p: PhysicalParams) -> np.ndarray:
     """-(u.grad)w + chi curl u + grad(div w), as raw band coefficients.
 
     The stepper's explicit w term plus the grad-div part of its linear term.
     """
-    g, u, w = state.grid, state.u.data, state.w.data
-    return -advect_hat(u, w, g) + p.chi * curl_hat(u, g) + grad_div_hat(w, g)
+    advection, grad_div, curl = _forcings(state)
+    return -advection + p.chi * curl + grad_div
 
 
 def duhamel_reconstruct_w(
@@ -451,16 +457,7 @@ def duhamel_terms(
 
     w0_shells = shells_of(states[0].w.data)
     # (sample, forcing, shell) for the advection, grad-div and curl forcings
-    forcing_shells = np.array(
-        [
-            [
-                shells_of(advect_hat(s.u.data, s.w.data, s.grid)),
-                shells_of(grad_div_hat(s.w.data, s.grid)),
-                shells_of(curl_hat(s.u.data, s.grid)),
-            ]
-            for s in states
-        ]
-    )
+    forcing_shells = np.array([[shells_of(f) for f in _forcings(s)] for s in states])
     q_idx = np.arange(len(w0_shells))
 
     rows = []

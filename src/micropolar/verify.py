@@ -51,7 +51,7 @@ from .operators import (
     random_band_limited,
     single_mode,
 )
-from .quadrature import corrected_trapezoid
+from .quadrature import RunningIntegral
 from .semigroup import (
     L2_GRAD_SMOOTHING_CONSTANT,
     SemigroupQuery,
@@ -417,13 +417,13 @@ def balance_residuals(
     residuals = []
     for divisor in (1, 2, 4):
         h = dt / divisor
-        powers = []
+        power = RunningIntegral(h)
         cur = state0
         for _, cur, stepper in evolve(cur, p, StepperConfig(dt=h, t_end=t_end)):
-            powers.append(stepper.last_power)
-        powers.append(energy_power(cur, p))
+            power.push(stepper.last_power)
+        power.push(energy_power(cur, p))
         e_end = l2(cur.u) ** 2 + l2(cur.w) ** 2
-        residuals.append(abs(e_end - e0 - corrected_trapezoid(powers, h)) / e0)
+        residuals.append(abs(e_end - e0 - power.value) / e0)
     return residuals
 
 

@@ -547,16 +547,26 @@ def test_csv_byte_identical_across_blas_threads(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def chi01_rows(out_dir, n, steps):
-    """The CSV rows of the bundled chi01 run at n points per axis, cut to
-    `steps` steps with a row every 2."""
+def chi01_text(out_dir, n, steps):
+    """The bundled chi01 config at n points per axis, cut to `steps` steps
+    with a row every 2."""
     text = (Path(__file__).resolve().parent.parent / "configs" / "chi01.cfg").read_text()
     for key, value in (
         ("grid.n", n), ("stepper.t_end", 0.02 * steps), ("output.cadence", 2), ("output.dir", out_dir),
     ):
         text = re.sub(rf"^{re.escape(key)} = \S+", f"{key} = {value}", text, flags=re.M)
-    lines = execute_run(parse_config_text(text)).csv_path.read_text().splitlines()
+    return text
+
+
+def csv_rows(path):
+    """The header and the rows of a diagnostics CSV, as floats."""
+    lines = Path(path).read_text().splitlines()
     return lines[0].split(","), np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+
+
+def chi01_rows(out_dir, n, steps):
+    """The CSV rows of the bundled chi01 run (chi01_text)."""
+    return csv_rows(execute_run(parse_config_text(chi01_text(out_dir, n, steps))).csv_path)
 
 
 @pytest.mark.parametrize("n, steps", [(32, 20), (34, 4)])
@@ -572,6 +582,39 @@ def test_csv_agrees_across_transform_paths(tmp_path, n, steps):
     assert products.shape == (steps // 2 + 1, len(header))
     scale = np.abs(pocketfft).max(axis=0)
     for name, got, want, top in zip(header, products.T, pocketfft.T, scale):
+        assert np.abs(got - want).max() <= 1e-14 * top, name
+
+
+def _cpu_has_avx() -> bool:
+    try:
+        return re.search(r"^flags\s*:.*\bavx\b", Path("/proc/cpuinfo").read_text(), re.M) is not None
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx(), reason="OpenBLAS's Sandybridge kernel needs AVX")
+def test_csv_agrees_across_blas_core_types(tmp_path):
+    """The README's determinism statement: the bits of an n <= 32 run depend
+    on the BLAS kernel, the values do not.  20 chi01 steps at n = 32 under
+    OPENBLAS_CORETYPE=Sandybridge, set in the child only, and under the
+    default kernel: every CSV column agrees to 1e-14 of its largest value
+    (measured on an AVX-512 host: 3.9e-16 at most, with different bytes)."""
+    runs = []
+    for name, core in (("default", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, chi01_text(tmp_path / name / "out", 32, 20))
+        proc = subprocess.run(
+            [sys.executable, "-m", "micropolar.cli", "run", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=child_env() | core,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(csv_rows(tmp_path / name / "out" / "diagnostics.csv"))
+    (header, default), (_, sandybridge) = runs
+    assert default.shape == (11, len(header))
+    scale = np.abs(default).max(axis=0)
+    for name, got, want, top in zip(header, sandybridge.T, default.T, scale):
         assert np.abs(got - want).max() <= 1e-14 * top, name
 
 
@@ -828,7 +871,10 @@ def child_env():
     import_path = [str(Path(micropolar.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         import_path.append(os.environ["PYTHONPATH"])
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(import_path)}
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):  # no __pycache__ in the checkout
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def run_cli_process(cfg, code=None, **kwargs):
@@ -927,3 +973,16 @@ def test_cli_unallocatable_workspace_exit_2(tmp_path):
     err = proc.stderr.splitlines()
     assert err == ["error: [key 'grid.n'] working set too large to allocate"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["diagnostics.csv", "checkpoint.bin", "report.txt"])
+def test_cli_unwritable_output_exit_2(tmp_path, name):
+    """An output file that cannot be written (a directory stands at its path)
+    exits 2 with one error line naming it, not a traceback."""
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    proc = run_cli_process(write_config(tmp_path, small_config_text(out_dir)), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0], err
+    assert "Traceback" not in proc.stderr

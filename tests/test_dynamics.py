@@ -28,7 +28,7 @@ from micropolar.fields import zero_spectral as zero_field
 from micropolar.grid import make_grid
 from micropolar.norms import inner, l2, l2_div, l2_grad
 from micropolar.operators import curl, leray_hat, leray_project
-from micropolar.quadrature import corrected_trapezoid
+from micropolar.quadrature import RunningIntegral
 
 from conftest import advective_oracle, random_spectral_field, single_mode_field
 
@@ -278,14 +278,13 @@ def test_discrete_energy_balance_fourth_order(grid16):
     residuals = []
     for dt in (0.02, 0.01, 0.005):
         cfg = StepperConfig(dt=dt, t_end=t_end)
-        powers = []
+        power = RunningIntegral(dt)
         cur = state0
         for _, cur, stepper in evolve(cur, PARAMS, cfg):
-            powers.append(stepper.last_power)
-        powers.append(energy_power(cur, PARAMS))
+            power.push(stepper.last_power)
+        power.push(energy_power(cur, PARAMS))
         e_end = l2(cur.u) ** 2 + l2(cur.w) ** 2
-        integral = corrected_trapezoid(powers, dt)
-        residuals.append(abs(e_end - e0 - integral) / e0)
+        residuals.append(abs(e_end - e0 - power.value) / e0)
     assert residuals[0] / residuals[1] > 8.0
     assert residuals[1] / residuals[2] > 8.0
 
